@@ -26,9 +26,9 @@ from .ioutil import default_workers, fmt_float, stable_rng
 from .learners import LEARNER_IDS, make_learner
 from .metalearn import MetaConfig, initial_model, meta_train
 from .network import load_checkpoint, save_checkpoint
-from .partition import (generate_hyperplane_partitions, generate_partitions,
-                        load_partition, pixel_partition, random_partition,
-                        save_partition)
+from .partition import (_lift, generate_hyperplane_partitions,
+                        generate_partitions, load_partition, pixel_partition,
+                        random_partition, save_partition)
 from .tasks import (TaskStreamConfig, make_supervised_task_stream,
                     make_task_stream, read_task_manifest,
                     sample_eligible_attribute_task, task_rng,
@@ -74,7 +74,6 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "r_min": (int, 6, "hyperplane: minimum members per subset (K+Q)"),
         "pool_size": (int, 1000, "hyperplane: precomputed pool size"),
         "retry_cap": (int, 100, "hyperplane: rejection cap per partition"),
-        "workers": (int, 0, "parallel partition workers (0: METAFEW_WORKERS or cores)"),
     },
     "gen-tasks": {
         "data": (str, REQUIRED, "dataset file"),
@@ -269,11 +268,9 @@ def cmd_partition(cfg: dict, echo: str) -> int:
     method, p_count, split = cfg["method"], cfg["P"], cfg["split"]
     if method in ("kmeans", "pixel", "random") and cfg["k"] < 1:
         raise ConfigError(f"method={method} requires k >= 1")
-    workers = cfg["workers"] or default_workers()
     if method == "kmeans":
         parts = generate_partitions(ds, p_count, cfg["k"], cfg["seed"], split=split,
-                                    max_iter=cfg["max_iter"], tol=cfg["tol"],
-                                    workers=workers)
+                                    max_iter=cfg["max_iter"], tol=cfg["tol"])
     elif method == "pixel":
         parts = [pixel_partition(ds, cfg["k"], seed=cfg["seed"] + i, split=split,
                                  max_iter=cfg["max_iter"], tol=cfg["tol"])
@@ -283,17 +280,12 @@ def cmd_partition(cfg: dict, echo: str) -> int:
         parts = []
         for i in range(p_count):
             part = random_partition(rows.size, cfg["k"], stable_rng(cfg["seed"], i))
-            assignment = np.full(ds.n, -1, dtype=np.int64)
-            assignment[rows] = part.assignment
-            part.assignment = assignment
-            part.clusters = [rows[m] for m in part.clusters]
             part.seed = cfg["seed"]
-            parts.append(part)
+            parts.append(_lift(part, rows, ds.n))
     elif method == "hyperplane":
         parts = generate_hyperplane_partitions(
             ds, p_count, cfg["n_way"], cfg["margin"], cfg["r_min"], cfg["seed"],
-            split=split, pool_size=cfg["pool_size"], retry_cap=cfg["retry_cap"],
-            workers=workers)
+            split=split, pool_size=cfg["pool_size"], retry_cap=cfg["retry_cap"])
     else:
         raise ConfigError(f"unknown method {method!r}")
     paths = _partition_paths(cfg["out_prefix"], len(parts))

@@ -19,6 +19,12 @@ KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-8
 HYPERPLANE_POOL_SIZE = 1000
 HYPERPLANE_RETRY_CAP = 100
+# distance entries per row block of the k-means assignment step, which
+# bounds its working memory by k rather than by n
+BLOCK_ELEMS = 1 << 16
+# row count every block's product is padded to a multiple of; OpenBLAS
+# splits such products across threads without changing their bits
+GEMM_ALIGN = 64
 
 
 @dataclass
@@ -97,8 +103,12 @@ class Partition:
 
 
 def _clusters_from_assignment(assignment: np.ndarray) -> list[np.ndarray]:
+    """Ascending member indices of clusters 0..max(assignment); discarded
+    (-1) points belong to none."""
     k = int(assignment.max()) + 1 if assignment.size and assignment.max() >= 0 else 0
-    return [np.flatnonzero(assignment == c) for c in range(k)]
+    order = np.argsort(assignment, kind="stable")
+    bounds = np.searchsorted(assignment[order], np.arange(k + 1))
+    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 # -- metric-scaled k-means ------------------------------------------------------
@@ -160,10 +170,9 @@ def kmeans(points: np.ndarray, k: int, scaling: np.ndarray | None = None,
     prev_obj = np.inf
     trace = []
     for _ in range(max_iter):
-        d2 = _sq_dists(y, sq_y, centroids)
-        assign = d2.argmin(axis=1)
-        assign, d2 = _repair_empty(y, sq_y, centroids, assign, d2, k)
-        obj = float(d2[np.arange(n), assign].sum())
+        assign, min_d2 = _assign(y, sq_y, centroids)
+        assign, min_d2 = _repair_empty(y, sq_y, centroids, assign, min_d2, k)
+        obj = float(min_d2.sum())
         if obj > prev_obj * (1 + 1e-12) + 1e-12:
             raise NumericError(f"k-means objective increased: {prev_obj} -> {obj}")
         trace.append(obj)
@@ -171,35 +180,56 @@ def kmeans(points: np.ndarray, k: int, scaling: np.ndarray | None = None,
             break
         if prev_assign is not None and prev_obj - obj <= tol * max(prev_obj, 1e-300):
             break
-        for c in range(k):
-            centroids[c] = y[assign == c].mean(axis=0)
+        for c, members in enumerate(_clusters_from_assignment(assign)):
+            centroids[c] = y[members].mean(axis=0)
         prev_assign, prev_obj = assign, obj
-    clusters = [np.flatnonzero(assign == c) for c in range(k)]
+    clusters = _clusters_from_assignment(assign)
     means = np.stack([points[m].mean(axis=0) for m in clusters])
-    return Partition(assignment=assign.astype(np.int64), clusters=clusters,
+    return Partition(assignment=assign, clusters=clusters,
                      centroids=means, scaling=scaling, provenance="kmeans",
                      k=k, seed=seed_val, objective=float(trace[-1]),
                      objective_trace=np.array(trace))
 
 
-def _sq_dists(y, sq_y, centroids):
-    d2 = sq_y[:, None] + (centroids * centroids).sum(axis=1)[None, :] - 2.0 * (y @ centroids.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _assign(y, sq_y, centroids):
+    """Nearest centroid of each row of y and its squared distance.
+
+    Rows go through in blocks of about BLOCK_ELEMS distances, each block
+    padded with zero rows to a multiple of GEMM_ALIGN. The product is taken
+    as centroids @ y.T. Blocks of other widths, or y on the left, let
+    OpenBLAS round some entries differently depending on its thread count;
+    this layout gives the same bits at any thread count and block size.
+    """
+    n, k = y.shape[0], centroids.shape[0]
+    cc = (centroids * centroids).sum(axis=1)
+    assign = np.empty(n, dtype=np.int64)
+    min_d2 = np.empty(n)
+    rows = max(1, BLOCK_ELEMS // k // GEMM_ALIGN) * GEMM_ALIGN
+    for lo in range(0, n, rows):
+        block = slice(lo, min(lo + rows, n))
+        m = block.stop - lo
+        yb = y[block]
+        if m % GEMM_ALIGN:
+            yb = np.zeros((m - m % GEMM_ALIGN + GEMM_ALIGN, y.shape[1]))
+            yb[:m] = y[block]
+        prod = np.ascontiguousarray((centroids @ yb.T)[:, :m].T)
+        d2 = (sq_y[block, None] + cc) - 2.0 * prod
+        np.maximum(d2, 0.0, out=d2)
+        best = d2.argmin(axis=1)
+        assign[block] = best
+        min_d2[block] = d2[np.arange(m), best]
+    return assign, min_d2
 
 
-def _repair_empty(y, sq_y, centroids, assign, d2, k):
+def _repair_empty(y, sq_y, centroids, assign, min_d2, k):
     # reseed an empty centroid at the point farthest from its own centroid
-    n = y.shape[0]
     for _ in range(2 * k):
         sizes = np.bincount(assign, minlength=k)
         empties = np.flatnonzero(sizes == 0)
         if empties.size == 0:
-            return assign, d2
-        worst = int(d2[np.arange(n), assign].argmax())
-        centroids[empties[0]] = y[worst]
-        d2 = _sq_dists(y, sq_y, centroids)
-        assign = d2.argmin(axis=1)
+            return assign, min_d2
+        centroids[empties[0]] = y[int(min_d2.argmax())]
+        assign, min_d2 = _assign(y, sq_y, centroids)
     raise InfeasibleError(f"cannot keep {k} nonempty clusters; "
                           "fewer than k distinct points?")
 
@@ -222,11 +252,11 @@ def _plusplus_init(y, k, rng):
 
 def generate_partitions(ds: DataSet, P: int, k: int, seed: int,
                         scaling: str | np.ndarray = "random",
-                        split: str = "meta-train", workers: int = 1,
+                        split: str = "meta-train",
                         **kmeans_kwargs) -> list[Partition]:
     """P independent k-means partitions of the split's embeddings, each under
     a fresh random diagonal metric with entries drawn i.i.d. uniform on (0, 1].
-    Partitions are seeded per index, so workers > 1 changes nothing but speed."""
+    Partitions are built one after another; BLAS threads each Lloyd step."""
     if ds.embeddings is None:
         raise DataError("generate_partitions requires embeddings")
     rows = ds.split_indices(split)
@@ -244,8 +274,7 @@ def generate_partitions(ds: DataSet, P: int, k: int, seed: int,
         part.seed = seed
         return _lift(part, rows, ds.n)
 
-    from .ioutil import parallel_map
-    return parallel_map(build, range(P), workers)
+    return [build(p) for p in range(P)]
 
 
 def pixel_partition(ds: DataSet, k: int, seed: int,
@@ -337,8 +366,7 @@ def hyperplane_partition(points: np.ndarray, n_way: int, margin: float, r_min: i
 def generate_hyperplane_partitions(ds: DataSet, P: int, n_way: int, margin: float,
                                    r_min: int, seed: int, split: str = "meta-train",
                                    pool_size: int = HYPERPLANE_POOL_SIZE,
-                                   retry_cap: int = HYPERPLANE_RETRY_CAP,
-                                   workers: int = 1) -> list[Partition]:
+                                   retry_cap: int = HYPERPLANE_RETRY_CAP) -> list[Partition]:
     """P hyperplane partitions drawn as H-combinations from one pre-computed
     pool of hyperplanes."""
     if ds.embeddings is None:
@@ -354,8 +382,7 @@ def generate_hyperplane_partitions(ds: DataSet, P: int, n_way: int, margin: floa
         part.seed = seed
         return _lift(part, rows, ds.n)
 
-    from .ioutil import parallel_map
-    return parallel_map(build, range(P), workers)
+    return [build(p) for p in range(P)]
 
 
 # -- random and label partitions ---------------------------------------------------
@@ -413,16 +440,17 @@ def save_partition(part: Partition, path) -> None:
             fh.write("# hyperplane="
                      + ",".join(fmt_float(v) for v in h.normal) + ";"
                      + ",".join(fmt_float(v) for v in h.point) + "\n")
-        for i, c in enumerate(part.assignment):
-            fh.write(f"{i},{int(c)}\n")
+        pairs = np.column_stack([np.arange(part.n), part.assignment]).ravel()
+        fh.write("%d,%d\n" * part.n % tuple(pairs.tolist()))
 
 
 def load_partition(path, points: np.ndarray | None = None) -> Partition:
     """Rebuild a partition from its text form. When the clustered points
-    are supplied, centroids are recomputed as member means."""
+    are supplied, centroids are recomputed as member means. The body must
+    list every index 0..n-1 exactly once with a cluster id >= -1."""
     header: dict[str, str] = {}
     planes: list[Hyperplane] = []
-    pairs = []
+    body = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -438,14 +466,18 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
                 else:
                     header[key] = value
                 continue
-            idx, _, cluster = line.partition(",")
-            pairs.append((int(idx), int(cluster)))
+            body.append(line)
+    pairs = _parse_assignment_lines(path, body)
     n = int(header.get("n", len(pairs)))
     if len(pairs) != n:
         raise DataError(f"{path}: {len(pairs)} assignment lines, header says n={n}")
+    idx, cluster = pairs[:, 0], pairs[:, 1]
+    if not np.array_equal(np.sort(idx), np.arange(n)):
+        raise DataError(f"{path}: point indices must list 0..{n - 1} once each")
+    if (cluster < -1).any():
+        raise DataError(f"{path}: cluster id below -1")
     assignment = np.full(n, -1, dtype=np.int64)
-    for idx, cluster in pairs:
-        assignment[idx] = cluster
+    assignment[idx] = cluster
     scaling = None
     if "scaling" in header:
         scaling = np.array([float(v) for v in header["scaling"].split(",")])
@@ -464,3 +496,16 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
         part.centroids = np.stack([points[m].mean(axis=0) for m in part.clusters])
     part.validate()
     return part
+
+
+def _parse_assignment_lines(path, lines: list[str]) -> np.ndarray:
+    """`index,cluster` lines as an (m, 2) int64 array."""
+    if not lines:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        pairs = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: bad assignment line: {exc}") from None
+    if pairs.shape[1] != 2:
+        raise DataError(f"{path}: assignment lines need 2 fields, got {pairs.shape[1]}")
+    return pairs

@@ -50,6 +50,9 @@ def test_synth_zero_noise_flag_honored(tmp_path):
 
 def test_unknown_config_key_is_exit_2(tmp_path):
     assert main(["synth", "bogus_key=1"]) == 2
+    # partition generation is serial; its former workers key is unknown
+    assert main(["partition", "data=x", "out_prefix=x", "method=kmeans",
+                 "k=3", "workers=2"]) == 2
 
 def test_config_file_with_overrides(tmp_path):
     cfg = tmp_path / "synth.cfg"
@@ -200,6 +203,30 @@ def test_evaluate_meta_learner_and_cluster_match(tmp_path, dataset, partitions):
     assert main(eval_args(dataset, pr, "protonet", checkpoint=proto_ckpt)) == 0
     rc, _ = read_report_csv(pr)
     assert rc.fingerprint == ra.fingerprint
+
+# each edit rewrites the first body line (index 0) of a saved partition
+BAD_PARTITION_LINES = {
+    "negative_index": lambda first, n: "-1," + first.split(",")[1],
+    "repeated_index": lambda first, n: "1," + first.split(",")[1],
+    "non_integer": lambda first, n: "0,x",
+    "index_past_end": lambda first, n: f"{n}," + first.split(",")[1],
+    "cluster_below_minus_one": lambda first, n: "0,-2",
+}
+
+@pytest.mark.parametrize("case", sorted(BAD_PARTITION_LINES))
+def test_evaluate_malformed_partition_is_exit_3(tmp_path, dataset, partitions,
+                                                case, capsys):
+    path = tmp_path / "bad.part"
+    lines = (tmp_path / f"{partitions.name}_000.part").read_text().splitlines()
+    first = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    n = len(lines) - first
+    lines[first] = BAD_PARTITION_LINES[case](lines[first], n)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(eval_args(dataset, tmp_path / "cm.csv", "cluster-match",
+                          partition=path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
 
 def test_evaluate_missing_checkpoint_is_exit_2(tmp_path, dataset):
     out = tmp_path / "x.csv"

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metafew
+import metafew.partition as partition_module
 from helpers import brute_force_two_means, scaled_objective
 from metafew.data import DataSet, synth_mixture
 from metafew.errors import ConfigError, DataError, InfeasibleError
@@ -96,6 +103,41 @@ def test_no_empty_clusters_on_adversarial_instances():
         assert all(len(c) > 0 for c in part.clusters)
         part.validate()
 
+# k=250 makes the default block 262 rows, a width at which an unpadded
+# product rounds differently at 1 and 2 OpenBLAS threads
+BITS_SCRIPT = """
+import hashlib
+import numpy as np
+from metafew.partition import kmeans
+pts = np.random.default_rng(0).standard_normal((2000, 16))
+part = kmeans(pts, 250, seed=1, max_iter=30)
+print(hashlib.sha256(part.assignment.tobytes()
+                     + part.objective_trace.tobytes()).hexdigest())
+"""
+
+
+def test_kmeans_bits_independent_of_blas_threads():
+    src = str(Path(metafew.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-c", BITS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
+
+def test_kmeans_bits_independent_of_block_size(monkeypatch):
+    pts = np.random.default_rng(0).standard_normal((2000, 16))
+    ref = kmeans(pts, 250, seed=1, max_iter=30)
+    for rows in (16, 64, 262, 2000):
+        monkeypatch.setattr(partition_module, "BLOCK_ELEMS", rows * 250)
+        part = kmeans(pts, 250, seed=1, max_iter=30)
+        assert np.array_equal(part.assignment, ref.assignment)
+        assert part.objective_trace.tobytes() == ref.objective_trace.tobytes()
+
 @pytest.mark.parametrize("seed", range(5))
 def test_small_instances_match_brute_force_local_optima(seed):
     rng = np.random.default_rng(200 + seed)
@@ -130,14 +172,6 @@ def test_generate_partitions_at_paper_count():
     ds = synth_mixture(4, 15, 3, 2, noise=0.3, seed=34)
     parts = generate_partitions(ds, 50, 4, seed=35)
     assert len(parts) == 50
-
-def test_parallel_generation_matches_serial():
-    ds = synth_mixture(5, 20, 4, 3, noise=0.3, seed=38)
-    serial = generate_partitions(ds, 4, 5, seed=39, workers=1)
-    threaded = generate_partitions(ds, 4, 5, seed=39, workers=3)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.assignment, b.assignment)
-        assert np.allclose(a.scaling, b.scaling)
 
 def test_partitions_respect_split():
     ds = synth_mixture(4, 10, 3, 2, noise=0.2, seed=36)
@@ -320,3 +354,24 @@ def test_save_load_hyperplane_partition(tmp_path):
     for ha, hb in zip(loaded.hyperplanes, part.hyperplanes):
         assert np.array_equal(ha.normal, hb.normal)
         assert np.array_equal(ha.point, hb.point)
+
+def test_saved_body_lists_every_point_in_order(tmp_path):
+    rng = np.random.default_rng(64)
+    pts = rng.standard_normal((90, 3))
+    part = hyperplane_partition(pts, 4, margin=0.2, r_min=2, seed=65)
+    assert np.any(part.assignment == -1)
+    path = tmp_path / "b.part"
+    save_partition(part, path)
+    body = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    assert body == [f"{i},{c}" for i, c in enumerate(part.assignment)]
+
+def test_clusters_are_ascending_members_of_each_id(tmp_path):
+    rng = np.random.default_rng(66)
+    assignment = rng.integers(-1, 5, size=200)
+    path = tmp_path / "c.part"
+    path.write_text("# provenance=random\n# n=200\n"
+                    + "".join(f"{i},{c}\n" for i, c in enumerate(assignment)))
+    loaded = load_partition(path)
+    assert len(loaded.clusters) == 5
+    for c, members in enumerate(loaded.clusters):
+        assert np.array_equal(members, np.flatnonzero(assignment == c))
