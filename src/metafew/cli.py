@@ -301,7 +301,8 @@ def cmd_partition(cfg: dict, echo: str) -> int:
     return 0
 
 
-def load_partition_manifest(path: str, points: np.ndarray | None = None) -> list:
+def load_partition_manifest(path: str, n_rows: int) -> list:
+    """The partitions a manifest lists; each must cover the dataset's rows."""
     base = os.path.dirname(os.path.abspath(path))
     parts = []
     with open(path) as fh:
@@ -309,7 +310,11 @@ def load_partition_manifest(path: str, points: np.ndarray | None = None) -> list
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts.append(load_partition(os.path.join(base, line), points=points))
+            part = load_partition(os.path.join(base, line))
+            if part.n != n_rows:
+                raise DataError(f"{line}: partition of {part.n} points, but the "
+                                f"dataset has {n_rows} rows")
+            parts.append(part)
     if not parts:
         raise DataError(f"{path}: no partition files listed")
     return parts
@@ -323,7 +328,7 @@ def _build_stream(cfg: dict, ds: DataSet, tasks: int, n_way: int, k_shot: int,
     source = cfg["source"]
     if source == "partitions":
         parts = load_partition_manifest(_require_file(cfg["partitions"],
-                                                      "partition manifest"))
+                                                      "partition manifest"), ds.n)
         return make_task_stream(stream_cfg, parts, ds)
     if source == "labels":
         return make_supervised_task_stream(stream_cfg, ds)

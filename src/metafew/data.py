@@ -101,10 +101,6 @@ class DataSet:
                 and np.array_equal(self.split, other.split))
 
 
-def split_name(code: int) -> str:
-    return SPLITS[int(code)]
-
-
 def split_code(name: str) -> int:
     if name not in _SPLIT_CODE:
         raise ConfigError(f"unknown split {name!r}")

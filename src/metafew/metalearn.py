@@ -13,7 +13,7 @@ from .ioutil import stable_rng
 from .network import (Layer, ModelParams, apply_adam, apply_sgd,
                       backprop_from_output, forward, grad_through_adaptation,
                       init_adam, init_mlp, log_softmax, params_allfinite,
-                      params_mean, softmax, xent_loss_grad)
+                      params_mean, params_task_mean, softmax, xent_loss_grad)
 from .tasks import Task
 
 DEFAULT_HIDDEN = (64, 64)
@@ -82,32 +82,32 @@ def maml_meta_train(cfg: MetaConfig, task_stream: Iterator[Task],
                     val_every: int = 0) -> ModelParams:
     """Fixed number of meta-iterations; each averages the exact adaptation
     meta-gradient over a batch of tasks and applies one Adam step. The
-    optional val_fn is monitoring only and never stops training early."""
+    batch's tasks are stacked and adapted in one pass, so they must share
+    their shapes. The optional val_fn is monitoring only and never stops
+    training early."""
     stream = iter(task_stream)
     params = init_params.copy()
     state = init_adam(params, cfg.outer_lr)
     for it in range(cfg.meta_iterations):
-        losses, grads = [], []
+        tasks = []
         for _ in range(cfg.task_batch_size):
             try:
-                task = next(stream)
+                tasks.append(next(stream))
             except StopIteration:
                 raise ConfigError(
                     f"task stream exhausted at meta-iteration {it}: need "
                     f"{cfg.meta_iterations * cfg.task_batch_size} tasks") from None
-            try:
-                loss, g = grad_through_adaptation(
-                    params, (task.train_x, task.train_y),
-                    (task.query_x, task.query_y),
-                    cfg.inner_lr, cfg.inner_steps_train, cfg.first_order)
-            except NumericError as exc:
-                raise NumericError(f"meta-iteration {it}: {exc}") from None
-            losses.append(loss)
-            grads.append(g)
+        train, query = _stack_tasks(tasks, it)
+        try:
+            losses, grads = grad_through_adaptation(
+                params, train, query, cfg.inner_lr, cfg.inner_steps_train,
+                cfg.first_order)
+        except NumericError as exc:
+            raise NumericError(f"meta-iteration {it}: {exc}") from None
         meta_loss = float(np.mean(losses))
         if not np.isfinite(meta_loss):
             raise NumericError(f"meta-iteration {it}: non-finite meta-loss")
-        params, state = apply_adam(params, params_mean(grads), state)
+        params, state = apply_adam(params, params_task_mean(grads), state)
         if not params_allfinite(params):
             raise NumericError(f"meta-iteration {it}: non-finite parameters")
         if log_cb is not None:
@@ -116,6 +116,18 @@ def maml_meta_train(cfg: MetaConfig, task_stream: Iterator[Task],
                 val = val_fn(params)
             log_cb(it, meta_loss, val)
     return params
+
+
+def _stack_tasks(tasks: list[Task], it: int):
+    """(train, query) batches of a meta-batch, each stacked as (B, n, d)
+    inputs and (B, n, classes) labels."""
+    fields = ("train_x", "train_y", "query_x", "query_y")
+    shapes = [tuple(getattr(t, f).shape for f in fields) for t in tasks]
+    if len(set(shapes)) > 1:
+        raise ShapeError(f"meta-iteration {it}: tasks of one meta-batch differ in "
+                         f"shape: {sorted(set(shapes))}")
+    tx, ty, qx, qy = (np.stack([getattr(t, f) for t in tasks]) for f in fields)
+    return (tx, ty), (qx, qy)
 
 
 def maml_adapt(params: ModelParams, task: Task, inner_lr: float = 0.05,

@@ -5,6 +5,12 @@ arrays and never mutate their inputs. The meta-gradient of a query loss
 taken through inner SGD adaptation is computed exactly (second-order
 terms included) with Hessian-vector products, so no general autodiff
 graph is needed.
+
+The forward, backward and Hessian-vector passes take either one task's
+2-d batch (n, d) or a stack of B tasks (B, n, d). Stacked passes carry a
+leading task axis through every array: per-task weights (B, in, out) and
+biases (B, out), or a single model broadcast over the stack. Each task in
+a stack gets the same bits as it would alone.
 """
 
 from __future__ import annotations
@@ -43,11 +49,16 @@ class ModelParams:
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].weights.shape[0]
+        return self.layers[0].weights.shape[-2]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].weights.shape[1]
+        return self.layers[-1].weights.shape[-1]
+
+    @property
+    def task_shape(self) -> tuple[int, ...]:
+        """() for one model, (B,) for a stack of B per-task models."""
+        return self.layers[0].weights.shape[:-2]
 
     def dims(self) -> list[tuple[int, int]]:
         return [layer.weights.shape for layer in self.layers]
@@ -101,9 +112,18 @@ def params_add_scaled(params: ModelParams, delta: ModelParams, scale: float) -> 
     """params + scale * delta, elementwise over every layer tensor."""
     _check_same_shape(params, delta)
     return ModelParams([
-        Layer(p.weights + scale * d.weights, p.bias + scale * d.bias, p.activation)
+        Layer(_add_scaled(p.weights, d.weights, scale),
+              _add_scaled(p.bias, d.bias, scale), p.activation)
         for p, d in zip(params.layers, delta.layers)
     ])
+
+
+def _add_scaled(p: np.ndarray, d: np.ndarray, scale: float) -> np.ndarray:
+    out = scale * d
+    if out.ndim < p.ndim:  # one delta broadcast over a task stack
+        return p + out
+    out += p  # in place saves a temporary; addition commutes, so same bits
+    return out
 
 
 def params_scale(params: ModelParams, scale: float) -> ModelParams:
@@ -117,6 +137,16 @@ def params_mean(items: list[ModelParams]) -> ModelParams:
     for item in items:
         acc = params_add_scaled(acc, item, 1.0)
     return params_scale(acc, 1.0 / len(items))
+
+
+def params_task_mean(stacked: ModelParams) -> ModelParams:
+    """Mean over the leading task axis. The sum adds the tasks in order, as
+    params_mean does over a list; the two can differ only in the sign of an
+    exact zero."""
+    return params_scale(ModelParams([
+        Layer(l.weights.sum(axis=0), l.bias.sum(axis=0), l.activation)
+        for l in stacked.layers
+    ]), 1.0 / stacked.task_shape[0])
 
 
 def params_allfinite(params: ModelParams) -> bool:
@@ -143,14 +173,19 @@ def params_unflatten(vector: np.ndarray, template: ModelParams) -> ModelParams:
 
 
 def _check_same_shape(a: ModelParams, b: ModelParams) -> None:
+    """Per-model layer shapes must agree. A task stack on one side may meet
+    a single model on the other, which then broadcasts over the tasks."""
     if len(a.layers) != len(b.layers):
         raise ShapeError(f"layer counts differ: {len(a.layers)} vs {len(b.layers)}")
     for i, (la, lb) in enumerate(zip(a.layers, b.layers)):
-        if la.weights.shape != lb.weights.shape or la.bias.shape != lb.bias.shape:
-            raise ShapeError(
-                f"layer {i} shapes differ: {la.weights.shape}/{la.bias.shape} "
-                f"vs {lb.weights.shape}/{lb.bias.shape}"
-            )
+        if la.weights.shape == lb.weights.shape and la.bias.shape == lb.bias.shape:
+            continue
+        if ((la.weights.ndim == 2 or lb.weights.ndim == 2)
+                and la.weights.shape[-2:] == lb.weights.shape[-2:]
+                and la.bias.shape[-1:] == lb.bias.shape[-1:]):
+            continue
+        raise ShapeError(f"layer {i} shapes differ: {la.weights.shape}/{la.bias.shape} "
+                         f"vs {lb.weights.shape}/{lb.bias.shape}")
 
 
 # -- forward / loss / gradients --------------------------------------------
@@ -168,21 +203,43 @@ def _activation_mask(z: np.ndarray, activation: str) -> np.ndarray | float:
     return 1.0
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    # transpose of the trailing matrix; a task axis stays in front
+    return a.swapaxes(-1, -2)
+
+
 def _forward_cached(params: ModelParams, inputs: np.ndarray):
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"inputs must be a 2-d batch, got shape {x.shape}")
-    if x.shape[0] < 1:
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"inputs must be a 2-d batch or a 3-d task stack, "
+                         f"got shape {x.shape}")
+    if x.shape[-2] < 1:
         raise ShapeError("batch must be nonempty")
-    if x.shape[1] != params.in_dim:
-        raise ShapeError(f"input width {x.shape[1]} != model in_dim {params.in_dim}")
+    if x.shape[-1] != params.in_dim:
+        raise ShapeError(f"input width {x.shape[-1]} != model in_dim {params.in_dim}")
+    if params.task_shape and x.shape[:-2] != params.task_shape:
+        raise ShapeError(f"input task stack {x.shape[:-2]} != model task stack "
+                         f"{params.task_shape}")
     acts = [x]
     pre = []
     for layer in params.layers:
-        z = acts[-1] @ layer.weights + layer.bias
+        z = acts[-1] @ layer.weights
+        z += layer.bias[..., None, :]  # in place: a fresh add with this view is slower
         pre.append(z)
         acts.append(_apply_activation(z, layer.activation))
     return pre, acts
+
+
+def _backward(params: ModelParams, pre: list, acts: list, g: np.ndarray) -> ModelParams:
+    """Parameter gradients of sum(output * g), given a cached forward pass."""
+    grads = [None] * len(params.layers)
+    for l in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[l]
+        d = g * _activation_mask(pre[l], layer.activation)
+        grads[l] = Layer(_t(acts[l]) @ d, d.sum(axis=-2), layer.activation)
+        if l > 0:
+            g = d @ _t(layer.weights)
+    return ModelParams(grads)
 
 
 def forward(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -192,8 +249,8 @@ def forward(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -202,9 +259,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def check_onehot(labels: np.ndarray) -> np.ndarray:
     y = np.asarray(labels, dtype=np.float64)
-    if y.ndim != 2:
+    if y.ndim not in (2, 3):
         raise ContractError(f"labels must be one-hot rows, got shape {y.shape}")
-    ok = ((y == 0.0) | (y == 1.0)).all() and (y.sum(axis=1) == 1.0).all()
+    ok = ((y == 0.0) | (y == 1.0)).all() and (y.sum(axis=-1) == 1.0).all()
     if not ok:
         raise ContractError("labels must be exact one-hot rows")
     return y
@@ -217,45 +274,37 @@ def backprop_from_output(params: ModelParams, inputs: np.ndarray,
     g = np.asarray(output_cotangent, dtype=np.float64)
     if g.shape != acts[-1].shape:
         raise ShapeError(f"cotangent shape {g.shape} != output shape {acts[-1].shape}")
-    grads = [None] * len(params.layers)
-    for l in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[l]
-        d = g * _activation_mask(pre[l], layer.activation)
-        grads[l] = Layer(acts[l].T @ d, d.sum(axis=0), layer.activation)
-        if l > 0:
-            g = d @ layer.weights.T
-    return ModelParams(grads)
+    return _backward(params, pre, acts, g)
 
 
-def xent_loss(params: ModelParams, inputs: np.ndarray, onehot_labels: np.ndarray) -> float:
+def _mean_xent(logp: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    # a float for one task, one loss per task for a stack
+    loss = -(logp * y).sum(axis=-1).mean(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
+
+
+def xent_loss(params: ModelParams, inputs: np.ndarray,
+              onehot_labels: np.ndarray) -> float | np.ndarray:
     y = check_onehot(onehot_labels)
     logits = forward(params, inputs)
     if y.shape != logits.shape:
         raise ShapeError(f"labels {y.shape} vs logits {logits.shape}")
-    return float(-(log_softmax(logits) * y).sum(axis=1).mean())
+    return _mean_xent(log_softmax(logits), y)
 
 
 def xent_loss_grad(params: ModelParams, inputs: np.ndarray,
-                   onehot_labels: np.ndarray) -> tuple[float, ModelParams]:
+                   onehot_labels: np.ndarray) -> tuple[float | np.ndarray, ModelParams]:
     """Mean softmax cross-entropy over the batch and its exact parameter
-    gradient (log-sum-exp stabilized)."""
+    gradient (log-sum-exp stabilized). A task stack gives one loss and one
+    gradient per task."""
     y = check_onehot(onehot_labels)
     pre, acts = _forward_cached(params, inputs)
     logits = acts[-1]
     if y.shape != logits.shape:
         raise ShapeError(f"labels {y.shape} vs logits {logits.shape}")
     logp = log_softmax(logits)
-    loss = float(-(logp * y).sum(axis=1).mean())
-    batch = logits.shape[0]
-    g = (np.exp(logp) - y) / batch
-    grads = [None] * len(params.layers)
-    for l in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[l]
-        d = g * _activation_mask(pre[l], layer.activation)
-        grads[l] = Layer(acts[l].T @ d, d.sum(axis=0), layer.activation)
-        if l > 0:
-            g = d @ layer.weights.T
-    return loss, ModelParams(grads)
+    g = (np.exp(logp) - y) / logits.shape[-2]
+    return _mean_xent(logp, y), _backward(params, pre, acts, g)
 
 
 def hvp_xent(params: ModelParams, inputs: np.ndarray, onehot_labels: np.ndarray,
@@ -268,34 +317,32 @@ def hvp_xent(params: ModelParams, inputs: np.ndarray, onehot_labels: np.ndarray,
     """
     y = check_onehot(onehot_labels)
     _check_same_shape(params, direction)
-    x = np.asarray(inputs, dtype=np.float64)
-    acts, r_acts = [x], [np.zeros_like(x)]
-    pre = []
-    for layer, tangent in zip(params.layers, direction.layers):
-        z = acts[-1] @ layer.weights + layer.bias
-        rz = r_acts[-1] @ layer.weights + acts[-1] @ tangent.weights + tangent.bias
-        pre.append(z)
-        mask = _activation_mask(z, layer.activation)
-        acts.append(_apply_activation(z, layer.activation))
-        r_acts.append(rz * mask)
+    pre, acts = _forward_cached(params, inputs)
+    masks = [_activation_mask(z, layer.activation) for z, layer in zip(pre, params.layers)]
+    r_acts = [np.zeros_like(acts[0])]
+    for l, (layer, tangent) in enumerate(zip(params.layers, direction.layers)):
+        rz = r_acts[l] @ layer.weights
+        rz += acts[l] @ tangent.weights
+        rz += tangent.bias[..., None, :]
+        r_acts.append(rz * masks[l])
     logits = acts[-1]
     if y.shape != logits.shape:
         raise ShapeError(f"labels {y.shape} vs logits {logits.shape}")
-    batch = logits.shape[0]
+    batch = logits.shape[-2]
     p = softmax(logits)
     g = (p - y) / batch
-    rp = p * (r_acts[-1] - (p * r_acts[-1]).sum(axis=1, keepdims=True))
+    rp = p * (r_acts[-1] - (p * r_acts[-1]).sum(axis=-1, keepdims=True))
     rg = rp / batch
     out = [None] * len(params.layers)
     for l in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[l]
-        mask = _activation_mask(pre[l], layer.activation)
-        d = g * mask
-        rd = rg * mask
-        out[l] = Layer(r_acts[l].T @ d + acts[l].T @ rd, rd.sum(axis=0), layer.activation)
+        d = g * masks[l]
+        rd = rg * masks[l]
+        out[l] = Layer(_t(r_acts[l]) @ d + _t(acts[l]) @ rd, rd.sum(axis=-2),
+                       layer.activation)
         if l > 0:
-            g = d @ layer.weights.T
-            rg = rd @ layer.weights.T + d @ direction.layers[l].weights.T
+            g = d @ _t(layer.weights)
+            rg = rd @ _t(layer.weights) + d @ _t(direction.layers[l].weights)
     return ModelParams(out)
 
 
@@ -303,13 +350,18 @@ def grad_through_adaptation(params: ModelParams,
                             train_batch: tuple[np.ndarray, np.ndarray],
                             query_batch: tuple[np.ndarray, np.ndarray],
                             inner_lr: float, inner_steps: int,
-                            first_order: bool = False) -> tuple[float, ModelParams]:
+                            first_order: bool = False
+                            ) -> tuple[float | np.ndarray, ModelParams]:
     """Query loss after inner SGD adaptation and its exact gradient with
     respect to the initial parameters.
 
     The full derivative chains (I - lr*H) factors through every inner step
     via Hessian-vector products; with first_order=True the gradient is
     instead evaluated at the adapted parameters and copied back.
+
+    Batches stacked as (B, n, d) inputs and (B, n, classes) labels adapt B
+    tasks at once from the shared initial parameters and return B losses
+    and gradients with a leading task axis, each equal to its own 2-d call.
     """
     if inner_steps < 0:
         raise ContractError("inner_steps must be >= 0")
@@ -317,21 +369,23 @@ def grad_through_adaptation(params: ModelParams,
         raise ContractError("inner_lr must be >= 0")
     tx, ty = train_batch
     qx, qy = query_batch
-    trajectory = [params]
+    trajectory = []  # the parameters each inner step starts from
     theta = params
     for step in range(inner_steps):
         loss, g = xent_loss_grad(theta, tx, ty)
-        if not (np.isfinite(loss) and params_allfinite(g)):
+        if not (np.isfinite(loss).all() and params_allfinite(g)):
             raise NumericError(f"non-finite inner loss/gradient at adaptation step {step}")
-        theta = apply_sgd(theta, g, inner_lr)
         trajectory.append(theta)
+        theta = apply_sgd(theta, g, inner_lr)
     query_loss, v = xent_loss_grad(theta, qx, qy)
-    if not (np.isfinite(query_loss) and params_allfinite(v)):
+    del theta  # the backward pass needs only the trajectory
+    if not (np.isfinite(query_loss).all() and params_allfinite(v)):
         raise NumericError(f"non-finite query loss/gradient after step {inner_steps}")
     if first_order or inner_steps == 0 or inner_lr == 0.0:
         return query_loss, v
     for step in range(inner_steps - 1, -1, -1):
-        hv = hvp_xent(trajectory[step], tx, ty, v)
+        # popping frees each step's parameters once they are used
+        hv = hvp_xent(trajectory.pop(), tx, ty, v)
         v = params_add_scaled(v, hv, -inner_lr)
         if not params_allfinite(v):
             raise NumericError(f"non-finite meta-gradient while backing through step {step}")

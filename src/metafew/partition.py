@@ -446,8 +446,9 @@ def save_partition(part: Partition, path) -> None:
 
 def load_partition(path, points: np.ndarray | None = None) -> Partition:
     """Rebuild a partition from its text form. When the clustered points
-    are supplied, centroids are recomputed as member means. The body must
-    list every index 0..n-1 exactly once with a cluster id >= -1."""
+    are supplied, they must number n, and centroids are recomputed as
+    member means. The body must list every index 0..n-1 exactly once with a
+    cluster id >= -1. A malformed header value is a DataError."""
     header: dict[str, str] = {}
     planes: list[Hyperplane] = []
     body = []
@@ -459,18 +460,23 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 if key == "hyperplane":
-                    normal, _, anchor = value.partition(";")
-                    planes.append(Hyperplane(
-                        np.array([float(v) for v in normal.split(",")]),
-                        np.array([float(v) for v in anchor.split(",")])))
+                    planes.append(_header_field(path, key, value, _parse_hyperplane))
                 else:
                     header[key] = value
                 continue
             body.append(line)
+
+    def header_value(key, parse):
+        return _header_field(path, key, header[key], parse) if key in header else None
+
     pairs = _parse_assignment_lines(path, body)
-    n = int(header.get("n", len(pairs)))
+    n = header_value("n", int)
+    n = len(pairs) if n is None else n
     if len(pairs) != n:
         raise DataError(f"{path}: {len(pairs)} assignment lines, header says n={n}")
+    if points is not None and len(points) != n:
+        raise DataError(f"{path}: partition of {n} points, but {len(points)} "
+                        f"points were given")
     idx, cluster = pairs[:, 0], pairs[:, 1]
     if not np.array_equal(np.sort(idx), np.arange(n)):
         raise DataError(f"{path}: point indices must list 0..{n - 1} once each")
@@ -478,24 +484,42 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
         raise DataError(f"{path}: cluster id below -1")
     assignment = np.full(n, -1, dtype=np.int64)
     assignment[idx] = cluster
-    scaling = None
-    if "scaling" in header:
-        scaling = np.array([float(v) for v in header["scaling"].split(",")])
     part = Partition(
         assignment=assignment,
         clusters=_clusters_from_assignment(assignment),
-        scaling=scaling,
+        scaling=header_value("scaling", _parse_floats),
         provenance=header.get("provenance", "kmeans"),
-        k=int(header["k"]) if header.get("k") else None,
-        seed=int(header["seed"]) if header.get("seed") else None,
+        k=header_value("k", _optional_int),
+        seed=header_value("seed", _optional_int),
         source_space=header.get("source_space", "embedding"),
-        margin=float(header["margin"]) if "margin" in header else None,
+        margin=header_value("margin", float),
         hyperplanes=planes or None,
     )
     if points is not None:
         part.centroids = np.stack([points[m].mean(axis=0) for m in part.clusters])
     part.validate()
     return part
+
+
+def _header_field(path, key: str, text: str, parse):
+    try:
+        return parse(text)
+    except (ValueError, ShapeError) as exc:
+        raise DataError(f"{path}: bad header field {key}={text!r}: {exc}") from None
+
+
+def _optional_int(text: str) -> int | None:
+    # save_partition writes an unset k or seed as an empty value
+    return int(text) if text else None
+
+
+def _parse_floats(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split(",")])
+
+
+def _parse_hyperplane(text: str) -> Hyperplane:
+    normal, _, anchor = text.partition(";")
+    return Hyperplane(_parse_floats(normal), _parse_floats(anchor))
 
 
 def _parse_assignment_lines(path, lines: list[str]) -> np.ndarray:

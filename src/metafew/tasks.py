@@ -348,19 +348,47 @@ def write_task_manifest(tasks: list[Task], path, dataset_ref: str = "",
             ]) + "\n")
 
 
+_MANIFEST_FIELDS = 12
+
+
 def read_task_manifest(path, ds: DataSet) -> list[Task]:
+    """Tasks of a manifest, with inputs fetched from the dataset's rows. A
+    line with a wrong field count, a non-integer field, a wrong number of
+    indices, an index outside the dataset, or a label_perm that is not a
+    permutation is a DataError."""
     tasks = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
+            fields = line.split(";")
+            if len(fields) != _MANIFEST_FIELDS:
+                raise DataError(f"{where}: {len(fields)} fields, expected {_MANIFEST_FIELDS}")
             (_, n, k, q, repr_, split, part_idx, task_seed,
-             source, perm, train_idx, query_idx) = line.split(";")
-            n, k, q = int(n), int(k), int(q)
-            train_indices = np.array([int(v) for v in train_idx.split(",")])
-            query_indices = np.array([int(v) for v in query_idx.split(",")])
-            label_perm = np.array([int(v) for v in perm.split(",")])
+             source, perm, train_idx, query_idx) = fields
+            n, k, q = (_manifest_int(where, name, v)
+                       for name, v in (("n", n), ("k", k), ("q", q)))
+            part_idx = _manifest_int(where, "partition", part_idx) if part_idx else None
+            task_seed = _manifest_int(where, "task_seed", task_seed) if task_seed else None
+            if min(n, k, q) < 1:
+                raise DataError(f"{where}: n, k and q must be positive, got {n}/{k}/{q}")
+            train_indices = _manifest_ints(where, "train index", train_idx)
+            query_indices = _manifest_ints(where, "query index", query_idx)
+            label_perm = _manifest_ints(where, "label_perm", perm)
+            if train_indices.size != n * k or query_indices.size != n * q:
+                raise DataError(f"{where}: {train_indices.size} train and "
+                                f"{query_indices.size} query indices for N={n}, "
+                                f"K={k}, Q={q}")
+            for name, idx in (("train", train_indices), ("query", query_indices)):
+                bad = idx[(idx < 0) | (idx >= ds.n)]
+                if bad.size:
+                    raise DataError(f"{where}: {name} index {bad[0]} outside the "
+                                    f"dataset's {ds.n} rows")
+            if not np.array_equal(np.sort(label_perm), np.arange(n)):
+                raise DataError(f"{where}: label_perm {perm!r} is not a permutation "
+                                f"of 0..{n - 1}")
             eye = np.eye(n)
             tasks.append(Task(
                 n_way=n, k_shot=k, q_queries=q,
@@ -370,9 +398,20 @@ def read_task_manifest(path, ds: DataSet) -> list[Task]:
                 query_y=eye[label_perm.repeat(q)],
                 train_indices=train_indices, query_indices=query_indices,
                 label_perm=label_perm,
-                source_ids=np.array([int(v) for v in source.split(",")]),
+                source_ids=_manifest_ints(where, "source id", source),
                 input_repr=repr_, split=split or None,
-                partition_index=int(part_idx) if part_idx else None,
-                task_seed=int(task_seed) if task_seed else None,
+                partition_index=part_idx, task_seed=task_seed,
             ))
     return tasks
+
+
+def _manifest_int(where: str, name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"{where}: {name} {text!r} is not an integer") from None
+
+
+def _manifest_ints(where: str, name: str, text: str) -> np.ndarray:
+    return np.array([_manifest_int(where, name, v) for v in text.split(",")],
+                    dtype=np.int64)

@@ -228,6 +228,47 @@ def test_evaluate_malformed_partition_is_exit_3(tmp_path, dataset, partitions,
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
 
+def assert_data_error(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+@pytest.mark.parametrize("per_class", [8, 20])
+def test_evaluate_partition_of_other_dataset_size_is_exit_3(tmp_path, partitions,
+                                                            per_class, capsys):
+    # the partition covers 72 rows; these datasets have 48 and 120
+    other = tmp_path / "other.emb1"
+    assert main(synth_args(other, per_class=per_class)) == 0
+    assert_data_error(capsys, eval_args(other, tmp_path / "cm.csv", "cluster-match",
+                                        partition=f"{partitions}_000.part"))
+
+@pytest.mark.parametrize("per_class", [8, 20])
+def test_meta_train_on_partitions_of_other_dataset_size_is_exit_3(tmp_path, partitions,
+                                                                  per_class, capsys):
+    other = tmp_path / "other.emb1"
+    assert main(synth_args(other, per_class=per_class)) == 0
+    assert_data_error(capsys, meta_train_args(other, partitions, tmp_path / "m.ckpt"))
+
+# each value replaces (or adds) one header line of a saved partition
+BAD_PARTITION_HEADERS = {
+    "n": "abc", "k": "x", "seed": "1.5", "margin": "x", "scaling": "1,x,1",
+    "hyperplane": "1,0,x;0,0,0",
+}
+
+@pytest.mark.parametrize("key", sorted(BAD_PARTITION_HEADERS) + ["hyperplane_shape"])
+def test_evaluate_malformed_partition_header_is_exit_3(tmp_path, dataset, partitions,
+                                                       key, capsys):
+    value = BAD_PARTITION_HEADERS.get(key, "1,0;0,0,0")
+    key = key.removesuffix("_shape")
+    lines = (tmp_path / f"{partitions.name}_000.part").read_text().splitlines()
+    lines = [l for l in lines if not l.startswith(f"# {key}=")]
+    lines.insert(1, f"# {key}={value}")
+    path = tmp_path / "bad.part"
+    path.write_text("\n".join(lines) + "\n")
+    assert_data_error(capsys, eval_args(dataset, tmp_path / "cm.csv", "cluster-match",
+                                        partition=path))
+
 def test_evaluate_missing_checkpoint_is_exit_2(tmp_path, dataset):
     out = tmp_path / "x.csv"
     assert main(eval_args(dataset, out, "maml")) == 2
@@ -262,6 +303,38 @@ def test_evaluate_from_task_manifest(tmp_path, dataset, partitions):
     assert main(eval_args(dataset, out, "knn", tasks_manifest=manifest)) == 0
     report, _ = read_report_csv(out)
     assert report.task_count == 6
+
+# each edit rewrites one field of the first task line of a manifest over the
+# 72-row dataset: (field index, new value)
+BAD_MANIFEST_FIELDS = {
+    "negative_train_index": (10, lambda v: "-1," + v.split(",", 1)[1]),
+    "query_index_past_end": (11, lambda v: "72," + v.split(",", 1)[1]),
+    "non_numeric_index": (10, lambda v: "x," + v.split(",", 1)[1]),
+    "non_numeric_k": (2, lambda v: "one"),
+    "perm_not_a_permutation": (9, lambda v: ",".join(["0"] * len(v.split(",")))),
+    "missing_field": (None, None),
+}
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFEST_FIELDS))
+def test_evaluate_malformed_task_manifest_is_exit_3(tmp_path, dataset, partitions,
+                                                    case, capsys):
+    manifest = tmp_path / "tasks.txt"
+    assert main(["gen-tasks", f"data={dataset}",
+                 f"partitions={partitions}_manifest.txt", f"out={manifest}",
+                 "tasks=3", "n_way=3", "k_shot=1", "q_queries=2",
+                 "seed=19"]) == 0
+    lines = manifest.read_text().splitlines()
+    first = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    fields = lines[first].split(";")
+    index, edit = BAD_MANIFEST_FIELDS[case]
+    if index is None:
+        fields.pop()
+    else:
+        fields[index] = edit(fields[index])
+    lines[first] = ";".join(fields)
+    manifest.write_text("\n".join(lines) + "\n")
+    assert_data_error(capsys, eval_args(dataset, tmp_path / "knn.csv", "knn",
+                                        tasks_manifest=manifest))
 
 def test_meta_train_on_embeddings_and_oracle_source(tmp_path, dataset, partitions):
     # meta-learn directly on embeddings: model width follows d_z

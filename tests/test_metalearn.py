@@ -9,8 +9,9 @@ from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_mode
                                protonet_classify, protonet_embed,
                                protonet_loss_grad, protonet_meta_train,
                                protonet_predict, protonet_prototypes, prune_head)
-from metafew.network import (Layer, ModelParams, apply_adam, forward, init_adam,
-                             init_mlp, params_flatten, xent_loss_grad)
+from metafew.network import (Layer, ModelParams, apply_adam, forward,
+                             grad_through_adaptation, init_adam, init_mlp,
+                             params_flatten, params_mean, xent_loss_grad)
 from metafew.partition import generate_partitions, partition_from_labels
 from metafew.tasks import (Task, TaskStreamConfig, make_supervised_task_stream,
                            make_task_stream, sample_supervised_task)
@@ -97,6 +98,42 @@ def test_meta_train_logs_and_determinism(mixture):
     assert params_flatten(a).tobytes() == params_flatten(b).tobytes()
     assert rows_a == rows_b
     assert [r[0] for r in rows_a] == list(range(10))
+
+@pytest.mark.parametrize("first_order", [False, True])
+def test_stacked_meta_train_equals_per_task_reference(mixture, first_order):
+    parts = generate_partitions(mixture, 2, 8, seed=116)
+    # three tasks per batch: 1/3 is inexact, so the order of the mean shows
+    stream_cfg = TaskStreamConfig(tasks=3 * 3, n_way=3, k_shot=1, q_queries=4,
+                                  seed=117)
+    cfg = MetaConfig(meta_iterations=3, task_batch_size=3, n_way=3,
+                     inner_steps_train=3, first_order=first_order, seed=118)
+    init = build_maml_model(mixture.d_in, 3, np.random.default_rng(3))
+    rows = []
+    got = maml_meta_train(cfg, make_task_stream(stream_cfg, parts, mixture), init,
+                          log_cb=lambda it, loss, val: rows.append(loss))
+    # reference: one 2-d meta-gradient per task, averaged as a list
+    tasks = list(make_task_stream(stream_cfg, parts, mixture))
+    ref, state, ref_rows = init.copy(), init_adam(init, cfg.outer_lr), []
+    for it in range(cfg.meta_iterations):
+        losses, grads = [], []
+        for t in tasks[it * 3:(it + 1) * 3]:
+            loss, g = grad_through_adaptation(ref, (t.train_x, t.train_y),
+                                              (t.query_x, t.query_y), cfg.inner_lr,
+                                              cfg.inner_steps_train, first_order)
+            losses.append(loss)
+            grads.append(g)
+        ref_rows.append(float(np.mean(losses)))
+        ref, state = apply_adam(ref, params_mean(grads), state)
+    assert params_flatten(got).tobytes() == params_flatten(ref).tobytes()
+    assert rows == ref_rows
+
+def test_meta_batch_of_unequal_task_shapes_is_rejected():
+    rng = np.random.default_rng(124)
+    tasks = [toy_task(rng, n_way=2, k=3), toy_task(rng, n_way=2, k=2)]
+    cfg = MetaConfig(meta_iterations=1, task_batch_size=2, n_way=2)
+    init = build_maml_model(3, 2, np.random.default_rng(4))
+    with pytest.raises(ShapeError, match="meta-iteration 0"):
+        maml_meta_train(cfg, iter(tasks), init)
 
 def test_adapt_zero_steps_returns_same_params():
     rng = np.random.default_rng(119)

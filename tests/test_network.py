@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from helpers import finite_difference_grad, relative_error, scalar_adam_trace
 from metafew.errors import ContractError, NumericError, ShapeError
-from metafew.network import (Layer, ModelParams, apply_adam, apply_sgd, forward,
+from metafew.network import (Layer, ModelParams, apply_adam, apply_sgd,
+                             backprop_from_output, forward,
                              grad_through_adaptation, hvp_xent, init_adam,
                              init_mlp, load_checkpoint, params_add_scaled,
-                             params_flatten, save_checkpoint, softmax,
-                             xent_loss, xent_loss_grad, zeros_like_params)
+                             params_flatten, params_mean, params_task_mean,
+                             save_checkpoint, softmax, xent_loss, xent_loss_grad,
+                             zeros_like_params)
 
 
 def random_net(rng, dims=None, activations=None):
@@ -232,11 +234,119 @@ def test_adaptation_rejects_negative_arguments():
     with pytest.raises(ContractError):
         grad_through_adaptation(params, batch, batch, -0.1, 1)
 
+# -- stacked tasks ---------------------------------------------------------------
+
+def task_slice(params, b):
+    """Task b of a stacked ModelParams, as a single model."""
+    return ModelParams([Layer(l.weights[b], l.bias[b], l.activation)
+                        for l in params.layers])
+
+
+def stacked_batches(rng, tasks, d_in, n_classes, train_rows=6, query_rows=9):
+    """Per-task (train, query) batches and the same batches stacked."""
+    per_task = [(random_batch(rng, d_in, n_classes, train_rows),
+                 random_batch(rng, d_in, n_classes, query_rows))
+                for _ in range(tasks)]
+    stacked = tuple(tuple(np.stack([batches[i][j] for batches in per_task])
+                          for j in range(2)) for i in range(2))
+    return per_task, stacked
+
+
+@pytest.mark.parametrize("tasks", [1, 3, 8])
+@pytest.mark.parametrize("first_order", [False, True])
+def test_stacked_meta_grad_equals_per_task_calls(tasks, first_order):
+    rng = np.random.default_rng(70 + tasks)
+    params = random_net(rng, dims=[4, 6, 5, 3])
+    per_task, (train, query) = stacked_batches(rng, tasks, 4, 3)
+    losses, stacked = grad_through_adaptation(params, train, query, 0.2, 3,
+                                              first_order=first_order)
+    assert losses.shape == (tasks,)
+    singles = []
+    for b, (tb, qb) in enumerate(per_task):
+        loss, g = grad_through_adaptation(params, tb, qb, 0.2, 3, first_order=first_order)
+        assert losses[b] == loss
+        assert np.array_equal(params_flatten(task_slice(stacked, b)), params_flatten(g))
+        singles.append(g)
+    assert np.array_equal(params_flatten(params_task_mean(stacked)),
+                          params_flatten(params_mean(singles)))
+
+def test_stacked_meta_grad_matches_finite_differences():
+    rng = np.random.default_rng(75)
+    params = random_net(rng, dims=[3, 5, 3])
+    per_task, (train, query) = stacked_batches(rng, 2, 3, 3)
+    steps, lr = 2, 0.2
+    _, stacked = grad_through_adaptation(params, train, query, lr, steps)
+    for b, ((tx, ty), (qx, qy)) in enumerate(per_task):
+        def query_loss_after_adaptation(p):
+            theta = p
+            for _ in range(steps):
+                _, g = xent_loss_grad(theta, tx, ty)
+                theta = apply_sgd(theta, g, lr)
+            return xent_loss(theta, qx, qy)
+
+        fd = finite_difference_grad(query_loss_after_adaptation, params)
+        assert relative_error(task_slice(stacked, b), fd) <= 1e-4
+
+def test_stacked_hvp_and_gradient_equal_per_task_calls():
+    rng = np.random.default_rng(76)
+    params = random_net(rng, dims=[4, 6, 3])
+    per_task, ((x, y), _) = stacked_batches(rng, 3, 4, 3)
+    # per-task models and directions, as in the inner loop of adaptation
+    models = [random_net(rng, dims=[4, 6, 3]) for _ in range(3)]
+    dirs = [random_net(rng, dims=[4, 6, 3]) for _ in range(3)]
+    stack = lambda ps: ModelParams([
+        Layer(np.stack([p.layers[i].weights for p in ps]),
+              np.stack([p.layers[i].bias for p in ps]), params.layers[i].activation)
+        for i in range(len(params.layers))])
+    losses, grads = xent_loss_grad(stack(models), x, y)
+    hv = hvp_xent(stack(models), x, y, stack(dirs))
+    for b, ((tx, ty), _) in enumerate(per_task):
+        loss, g = xent_loss_grad(models[b], tx, ty)
+        assert losses[b] == loss
+        assert np.array_equal(params_flatten(task_slice(grads, b)), params_flatten(g))
+        assert np.array_equal(params_flatten(task_slice(hv, b)),
+                              params_flatten(hvp_xent(models[b], tx, ty, dirs[b])))
+
+def test_stacked_inputs_must_match_task_stack():
+    rng = np.random.default_rng(77)
+    models = ModelParams([Layer(np.zeros((3, 4, 2)), np.zeros((3, 2)), "identity")])
+    with pytest.raises(ShapeError):
+        forward(models, np.zeros((2, 5, 4)))
+    with pytest.raises(ShapeError):
+        forward(models, np.zeros((5, 4)))
+    with pytest.raises(ShapeError):
+        params_add_scaled(models, ModelParams([Layer(np.zeros((2, 4, 2)),
+                                                     np.zeros((2, 2)), "identity")]), 1.0)
+
+def test_stacked_labels_must_be_onehot():
+    params = random_net(np.random.default_rng(79), dims=[2, 2])
+    y = np.array([[[1.0, 0.0]], [[0.5, 0.5]]])
+    with pytest.raises(ContractError):
+        xent_loss_grad(params, np.zeros((2, 1, 2)), y)
+
+def test_xent_gradient_is_backprop_of_its_cotangent():
+    rng = np.random.default_rng(78)
+    params = random_net(rng, dims=[4, 6, 5, 3])
+    x, y = random_batch(rng, 4, 3, 7)
+    _, g = xent_loss_grad(params, x, y)
+    cotangent = (softmax(forward(params, x)) - y) / x.shape[0]
+    assert np.array_equal(params_flatten(g),
+                          params_flatten(backprop_from_output(params, x, cotangent)))
+
 def test_non_finite_input_reports_step_index():
     rng = np.random.default_rng(10)
     params = random_net(rng, dims=[2, 2])
     tx = np.array([[np.inf, 0.0]])
     ty = np.array([[1.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="step 0"):
+            grad_through_adaptation(params, (tx, ty), (tx, ty), 0.1, 2)
+
+def test_non_finite_stacked_input_reports_step_index():
+    rng = np.random.default_rng(10)
+    params = random_net(rng, dims=[2, 2])
+    tx = np.array([[[0.5, 0.0]], [[np.inf, 0.0]]])
+    ty = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="step 0"):
             grad_through_adaptation(params, (tx, ty), (tx, ty), 0.1, 2)
