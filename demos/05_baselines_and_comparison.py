@@ -40,7 +40,7 @@ learners = {
     "cluster-match": make_learner("cluster-match", ds, partition=parts[0]),
 }
 for name, predict in learners.items():
-    report = evaluate(predict, tasks, learner_id=name, seed=79)
+    report = evaluate(predict, tasks, learner_id=name, seed=79, chunked=True)
     print(report.summary())
     reports.append(report)
 

@@ -33,5 +33,5 @@ from .tasks import (Task, TaskStreamConfig, eligible_clusters, make_task_stream,
                     make_supervised_task_stream, mix_task_streams,
                     read_task_manifest, sample_attribute_task,
                     sample_eligible_attribute_task, sample_supervised_task,
-                    sample_task_from_partition, validate_task,
+                    sample_task_from_partition, stack_tasks, validate_task,
                     write_task_manifest)

@@ -398,15 +398,9 @@ def cmd_meta_train(cfg: dict, echo: str) -> int:
                 f"{meta_cfg.n_way}-way tasks from the meta-val split: {exc}") from None
 
         def val_fn(params):
-            if learner == "maml":
-                from .metalearn import maml_predict
-                predict = lambda t: maml_predict(params, t, cfg["inner_lr"])
-            else:
-                from .metalearn import protonet_predict
-                predict = lambda t: protonet_predict(params, t)
-            hits = [float((predict(t) == t.query_labels_int()).mean())
-                    for t in val_tasks]
-            return float(np.mean(hits))
+            predict = make_learner(learner, ds, params=params, inner_lr=cfg["inner_lr"])
+            report = evaluate(predict, val_tasks, chunked=True)
+            return float(np.mean(report.accuracies))
 
     log_rows: list[tuple[int, float, float | None]] = []
     params = meta_train(meta_cfg, stream, initial_model(meta_cfg, d_in),
@@ -454,8 +448,8 @@ def cmd_evaluate(cfg: dict, echo: str) -> int:
         linear_max_iter=cfg["linear_max_iter"], hidden=_parse_hidden(cfg["hidden"]))
     fingerprint = f"{_file_digest(data_path)[:8]}-{task_set_fingerprint(tasks)}"
     workers = cfg["workers"] or default_workers()
-    report = evaluate(predict, tasks, learner_id=learner_id,
-                      fingerprint=fingerprint, seed=cfg["seed"], workers=workers)
+    report = evaluate(predict, tasks, learner_id=learner_id, fingerprint=fingerprint,
+                      seed=cfg["seed"], workers=workers, chunked=True)
     write_report_csv(report, cfg["out"], config_text=echo)
     print(report.summary())
     return 0

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .ioutil import fmt_float, parallel_map, stable_rng
-from .tasks import Task
+from .tasks import Task, stack_key
 
 Z95 = 1.96
 
@@ -80,30 +80,74 @@ def task_set_fingerprint(tasks: list[Task]) -> str:
     return h.hexdigest()[:16]
 
 
-def evaluate(predict_fn: Callable[[Task, np.random.Generator], np.ndarray],
-             tasks: list[Task], learner_id: str = "", fingerprint: str = "",
-             seed: int = 0, workers: int = 1) -> EvalReport:
+# Evaluation walks the task list in chunks of consecutive, equally shaped
+# tasks holding at most this many train plus query rows (and at least one
+# task). Stacked learners fit a chunk in one pass; the thread pool maps over
+# chunks. Results do not depend on it.
+CHUNK_ROWS = 256
+
+
+def task_chunks(tasks: list[Task]) -> list[list[Task]]:
+    """Consecutive tasks with equal stack keys, up to CHUNK_ROWS rows each."""
+    chunks: list[list[Task]] = []
+    rows = 0
+    for task in tasks:
+        size = task.train_x.shape[0] + task.query_x.shape[0]
+        if (chunks and rows + size <= CHUNK_ROWS
+                and stack_key(task) == stack_key(chunks[-1][0])):
+            chunks[-1].append(task)
+            rows += size
+        else:
+            chunks.append([task])
+            rows = size
+    return chunks
+
+
+def per_task(predict_fn: Callable[[Task, np.random.Generator], np.ndarray]):
+    """The chunk form of a per-task learner: it predicts each task alone."""
+    def predict_chunk(tasks: list[Task], rngs: list[np.random.Generator]) -> list:
+        return [predict_fn(task, rng) for task, rng in zip(tasks, rngs)]
+    return predict_chunk
+
+
+def evaluate(predict_fn: Callable, tasks: list[Task], learner_id: str = "",
+             fingerprint: str = "", seed: int = 0, workers: int = 1,
+             chunked: bool = False) -> EvalReport:
     """Per-task accuracy of predict_fn over a fixed task set.
 
+    predict_fn(task, rng) returns one task's query predictions. With
+    chunked=True, predict_fn(tasks, rngs) takes a chunk of equally shaped
+    tasks (see task_chunks) and returns one prediction array per task.
+
     The per-task generator is keyed to (seed, task.task_seed), so stochastic
-    learners stay deterministic and invariant to task order.
+    learners stay deterministic and invariant to task order and chunking.
     """
     tasks = list(tasks)
     if not tasks:
         raise ConfigError("no tasks to evaluate")
     if not fingerprint:
         fingerprint = task_set_fingerprint(tasks)
+    predict_chunk = predict_fn if chunked else per_task(predict_fn)
 
-    def run_one(task: Task) -> float:
-        rng = stable_rng(seed, task.task_seed if task.task_seed is not None else 0)
-        pred = np.asarray(predict_fn(task, rng))
-        want = task.query_labels_int()
-        if pred.shape != want.shape:
-            raise DataError(f"learner returned {pred.shape} predictions for "
-                            f"{want.shape} queries")
-        return float((pred == want).mean())
+    def run_chunk(chunk: list[Task]) -> list[float]:
+        rngs = [stable_rng(seed, t.task_seed if t.task_seed is not None else 0)
+                for t in chunk]
+        preds = predict_chunk(chunk, rngs)
+        if len(preds) != len(chunk):
+            raise DataError(f"learner returned {len(preds)} predictions for a "
+                            f"chunk of {len(chunk)} tasks")
+        acc = []
+        for task, pred in zip(chunk, preds):
+            pred = np.asarray(pred)
+            want = task.query_labels_int()
+            if pred.shape != want.shape:
+                raise DataError(f"learner returned {pred.shape} predictions for "
+                                f"{want.shape} queries")
+            acc.append(float((pred == want).mean()))
+        return acc
 
-    acc = np.array(parallel_map(run_one, tasks, workers))
+    per_chunk = parallel_map(run_chunk, task_chunks(tasks), workers)
+    acc = np.array([a for chunk_acc in per_chunk for a in chunk_acc])
     return EvalReport(acc, learner_id=learner_id, fingerprint=fingerprint, seed=seed)
 
 

@@ -1,5 +1,5 @@
 """Adapters turning trained models and baselines into the uniform
-predict(task, rng) interface used by the evaluation harness."""
+predict(tasks, rngs) chunk interface used by the evaluation harness."""
 
 from __future__ import annotations
 
@@ -10,10 +10,11 @@ from .baselines import (cluster_matching_classify, knn_classify, linear_fit,
                         train_from_scratch)
 from .data import DataSet
 from .errors import ConfigError, DataError
+from .evaluation import per_task
 from .metalearn import maml_predict, protonet_predict
 from .network import ModelParams
 from .partition import Partition
-from .tasks import Task
+from .tasks import Task, stack_tasks
 
 LEARNER_IDS = ("maml", "protonet", "scratch", "knn", "linear", "mlp", "cluster-match")
 
@@ -35,37 +36,45 @@ def make_learner(learner_id: str, ds: DataSet, *,
                  linear_l2: float = 1e-4, linear_lr: float = 0.5,
                  linear_max_iter: int = 500,
                  hidden: tuple[int, ...] = (64, 64)):
-    """Build predict(task, rng) for any learner id the CLI accepts."""
+    """Build predict(tasks, rngs) for any learner id the CLI accepts: it
+    takes a chunk of equally shaped tasks with one generator each, as
+    evaluate(..., chunked=True) passes them, and returns one prediction
+    array per task. maml, scratch, linear and mlp fit the whole chunk in
+    one stacked pass; the other learners predict each task alone."""
     if learner_id == "maml":
         if params is None:
             raise ConfigError("maml learner needs a checkpoint")
-        return lambda task, rng: maml_predict(params, task, inner_lr, adapt_steps)
+        return lambda tasks, rngs: maml_predict(params, stack_tasks(tasks),
+                                                inner_lr, adapt_steps)
     if learner_id == "protonet":
         if params is None:
             raise ConfigError("protonet learner needs a checkpoint")
-        return lambda task, rng: protonet_predict(params, task)
+        return per_task(lambda task, rng: protonet_predict(params, task))
     if learner_id == "scratch":
-        return lambda task, rng: train_from_scratch(task, rng, hidden=hidden,
-                                                    steps=adapt_steps, lr=inner_lr)
+        return lambda tasks, rngs: train_from_scratch(
+            stack_tasks(tasks), rngs, hidden=hidden, steps=adapt_steps, lr=inner_lr)
     if learner_id == "knn":
         def predict_knn(task, rng):
             tr, qu = _embeddings_for(ds, task)
             # default: majority vote over min(K, 5) neighbors
             k = min(task.k_shot, 5) if k_nn is None else k_nn
             return knn_classify(tr, task.train_labels_int(), qu, k)
-        return predict_knn
+        return per_task(predict_knn)
     if learner_id == "linear":
-        def predict_linear(task, rng):
-            tr, qu = _embeddings_for(ds, task)
-            model = linear_fit(tr, task.train_labels_int(), task.n_way,
+        def predict_linear(tasks, rngs):
+            stacked = stack_tasks(tasks)
+            tr, qu = _embeddings_for(ds, stacked)
+            model = linear_fit(tr, stacked.train_labels_int(), stacked.n_way,
                                l2=linear_l2, lr=linear_lr, max_iter=linear_max_iter)
             return linear_predict(model, qu)
         return predict_linear
     if learner_id == "mlp":
-        def predict_mlp(task, rng):
-            tr, qu = _embeddings_for(ds, task)
-            model = mlp_dropout_fit(tr, task.train_labels_int(), task.n_way, rng,
-                                    dropout=mlp_dropout, lr=mlp_lr, steps=mlp_steps)
+        def predict_mlp(tasks, rngs):
+            stacked = stack_tasks(tasks)
+            tr, qu = _embeddings_for(ds, stacked)
+            model = mlp_dropout_fit(tr, stacked.train_labels_int(), stacked.n_way,
+                                    rngs, dropout=mlp_dropout, lr=mlp_lr,
+                                    steps=mlp_steps)
             return mlp_dropout_predict(model, qu)
         return predict_mlp
     if learner_id == "cluster-match":
@@ -75,5 +84,5 @@ def make_learner(learner_id: str, ds: DataSet, *,
             tr, qu = _embeddings_for(ds, task)
             return cluster_matching_classify(partition, partition.centroids, task,
                                              train_embs=tr, query_embs=qu)
-        return predict_cm
+        return per_task(predict_cm)
     raise ConfigError(f"unknown learner {learner_id!r}; expected one of {LEARNER_IDS}")

@@ -14,7 +14,7 @@ from .network import (Layer, ModelParams, apply_adam, apply_sgd,
                       backprop_from_output, forward, grad_through_adaptation,
                       init_adam, init_mlp, log_softmax, params_allfinite,
                       params_mean, params_task_mean, softmax, xent_loss_grad)
-from .tasks import Task
+from .tasks import Task, stack_tasks
 
 DEFAULT_HIDDEN = (64, 64)
 
@@ -97,11 +97,15 @@ def maml_meta_train(cfg: MetaConfig, task_stream: Iterator[Task],
                 raise ConfigError(
                     f"task stream exhausted at meta-iteration {it}: need "
                     f"{cfg.meta_iterations * cfg.task_batch_size} tasks") from None
-        train, query = _stack_tasks(tasks, it)
+        try:
+            batch = stack_tasks(tasks)
+        except ShapeError as exc:
+            raise ShapeError(f"meta-iteration {it}: {exc}") from None
         try:
             losses, grads = grad_through_adaptation(
-                params, train, query, cfg.inner_lr, cfg.inner_steps_train,
-                cfg.first_order)
+                params, (batch.train_x, batch.train_y),
+                (batch.query_x, batch.query_y), cfg.inner_lr,
+                cfg.inner_steps_train, cfg.first_order)
         except NumericError as exc:
             raise NumericError(f"meta-iteration {it}: {exc}") from None
         meta_loss = float(np.mean(losses))
@@ -118,40 +122,49 @@ def maml_meta_train(cfg: MetaConfig, task_stream: Iterator[Task],
     return params
 
 
-def _stack_tasks(tasks: list[Task], it: int):
-    """(train, query) batches of a meta-batch, each stacked as (B, n, d)
-    inputs and (B, n, classes) labels."""
-    fields = ("train_x", "train_y", "query_x", "query_y")
-    shapes = [tuple(getattr(t, f).shape for f in fields) for t in tasks]
-    if len(set(shapes)) > 1:
-        raise ShapeError(f"meta-iteration {it}: tasks of one meta-batch differ in "
-                         f"shape: {sorted(set(shapes))}")
-    tx, ty, qx, qy = (np.stack([getattr(t, f) for t in tasks]) for f in fields)
-    return (tx, ty), (qx, qy)
-
-
 def maml_adapt(params: ModelParams, task: Task, inner_lr: float = 0.05,
                steps: int = 50) -> ModelParams:
-    """SGD on the task's train set starting from params; params untouched."""
-    if task.train_x.shape[1] != params.in_dim:
-        raise ShapeError(f"task input width {task.train_x.shape[1]} != model "
+    """SGD on the task's train set starting from params; params untouched.
+
+    A stacked task (see stack_tasks) adapts its B tasks in one pass and
+    returns B per-task models; a single params broadcasts over the stack
+    on the first step. Each task gets the bits of its own 2-d call."""
+    if task.d_in != params.in_dim:
+        raise ShapeError(f"task input width {task.d_in} != model "
                          f"in_dim {params.in_dim}")
     if task.n_way != params.out_dim:
         raise ShapeError(f"task way {task.n_way} != model head width "
                          f"{params.out_dim}; prune_head first")
-    theta = params
+    if steps < 1:
+        return params
+    _, g = xent_loss_grad(params, task.train_x, task.train_y)
+    theta = apply_sgd(params, g, inner_lr)  # this call's own copy from here on
+    del g
+    return sgd_in_place(theta, task, inner_lr, steps - 1)
+
+
+def sgd_in_place(params: ModelParams, task: Task, inner_lr: float,
+                 steps: int) -> ModelParams:
+    """SGD on the task's train set, updating params, which the caller owns,
+    in place; each step has the bits of apply_sgd. Returns params."""
     for _ in range(steps):
-        _, g = xent_loss_grad(theta, task.train_x, task.train_y)
-        theta = apply_sgd(theta, g, inner_lr)
-    return theta
+        _, g = xent_loss_grad(params, task.train_x, task.train_y)
+        for layer, grad in zip(params.layers, g.layers):
+            grad.weights *= -inner_lr
+            grad.bias *= -inner_lr
+            layer.weights += grad.weights
+            layer.bias += grad.bias
+        del g  # free it before the next step's gradient
+    return params
 
 
 def maml_predict(params: ModelParams, task: Task, inner_lr: float = 0.05,
                  steps: int = 50) -> np.ndarray:
     """Adapt on the train set (pruning extra head columns if the model is
-    wider than the task) and return query label predictions."""
+    wider than the task) and return query label predictions, one row per
+    task for a stacked task."""
     adapted = maml_adapt(prune_head(params, task.n_way), task, inner_lr, steps)
-    return forward(adapted, task.query_x).argmax(axis=1)
+    return forward(adapted, task.query_x).argmax(axis=-1)
 
 
 # -- prototypical networks ---------------------------------------------------------

@@ -149,6 +149,15 @@ def params_task_mean(stacked: ModelParams) -> ModelParams:
     ]), 1.0 / stacked.task_shape[0])
 
 
+def params_stack(models: list[ModelParams]) -> ModelParams:
+    """Per-task models of equal shapes as one stack with a leading task axis."""
+    return ModelParams([
+        Layer(np.stack([m.layers[i].weights for m in models]),
+              np.stack([m.layers[i].bias for m in models]), layer.activation)
+        for i, layer in enumerate(models[0].layers)
+    ])
+
+
 def params_allfinite(params: ModelParams) -> bool:
     return all(np.isfinite(l.weights).all() and np.isfinite(l.bias).all()
                for l in params.layers)

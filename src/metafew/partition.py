@@ -446,9 +446,10 @@ def save_partition(part: Partition, path) -> None:
 
 def load_partition(path, points: np.ndarray | None = None) -> Partition:
     """Rebuild a partition from its text form. When the clustered points
-    are supplied, they must number n, and centroids are recomputed as
-    member means. The body must list every index 0..n-1 exactly once with a
-    cluster id >= -1. A malformed header value is a DataError."""
+    are supplied, they must number n, the scaling and every hyperplane
+    must match their width, and centroids are recomputed as member means.
+    The body must list every index 0..n-1 exactly once with a cluster id
+    >= -1. A malformed header value is a DataError."""
     header: dict[str, str] = {}
     planes: list[Hyperplane] = []
     body = []
@@ -496,6 +497,14 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
         hyperplanes=planes or None,
     )
     if points is not None:
+        width = points.shape[1]
+        if part.scaling is not None and part.scaling.shape != (width,):
+            raise DataError(f"{path}: scaling has {part.scaling.size} entries, but "
+                            f"the points have width {width}")
+        for h in planes:
+            if h.normal.shape != (width,):
+                raise DataError(f"{path}: hyperplane of dimension {h.normal.size}, "
+                                f"but the points have width {width}")
         part.centroids = np.stack([points[m].mean(axis=0) for m in part.clusters])
     part.validate()
     return part

@@ -10,7 +10,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .data import DataSet, split_code
-from .errors import ConfigError, DataError, InfeasibleError, TaskRejected
+from .errors import (ConfigError, DataError, InfeasibleError, ShapeError,
+                     TaskRejected)
 from .ioutil import stable_rng
 from .partition import Partition, signed_distance
 
@@ -45,13 +46,36 @@ class Task:
 
     @property
     def d_in(self) -> int:
-        return self.train_x.shape[1]
+        return self.train_x.shape[-1]
 
     def train_labels_int(self) -> np.ndarray:
-        return self.train_y.argmax(axis=1)
+        return self.train_y.argmax(axis=-1)
 
     def query_labels_int(self) -> np.ndarray:
-        return self.query_y.argmax(axis=1)
+        return self.query_y.argmax(axis=-1)
+
+
+_STACKED_FIELDS = ("train_x", "train_y", "query_x", "query_y", "train_indices",
+                   "query_indices", "label_perm", "source_ids")
+
+
+def stack_key(task: Task) -> tuple:
+    """Tasks with equal keys stack: their array fields share shapes."""
+    return (task.train_x.shape, task.query_x.shape, task.train_y.shape,
+            task.input_repr)
+
+
+def stack_tasks(tasks: list[Task]) -> Task:
+    """One Task whose array fields carry a leading task axis, (B, n, d)
+    inputs and (B, n, classes) labels, for learners that adapt B equally
+    shaped tasks in one pass. Per-task provenance fields are dropped."""
+    keys = {stack_key(t) for t in tasks}
+    if len(keys) > 1:
+        raise ShapeError(f"tasks differ in shape: {sorted(keys)}")
+    first = tasks[0]
+    return Task(first.n_way, first.k_shot, first.q_queries,
+                *(np.stack([getattr(t, f) for t in tasks]) for f in _STACKED_FIELDS),
+                input_repr=first.input_repr)
 
 
 def _fetch_inputs(ds: DataSet, indices: np.ndarray, input_repr: str) -> np.ndarray:
@@ -353,9 +377,9 @@ _MANIFEST_FIELDS = 12
 
 def read_task_manifest(path, ds: DataSet) -> list[Task]:
     """Tasks of a manifest, with inputs fetched from the dataset's rows. A
-    line with a wrong field count, a non-integer field, a wrong number of
-    indices, an index outside the dataset, or a label_perm that is not a
-    permutation is a DataError."""
+    line with a wrong field count, a non-integer field, an unknown
+    input_repr, a wrong number of indices or source ids, an index outside
+    the dataset, or a label_perm that is not a permutation is a DataError."""
     tasks = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -374,9 +398,13 @@ def read_task_manifest(path, ds: DataSet) -> list[Task]:
             task_seed = _manifest_int(where, "task_seed", task_seed) if task_seed else None
             if min(n, k, q) < 1:
                 raise DataError(f"{where}: n, k and q must be positive, got {n}/{k}/{q}")
+            if repr_ not in INPUT_REPRS:
+                raise DataError(f"{where}: input_repr {repr_!r} is not one of "
+                                f"{INPUT_REPRS}")
             train_indices = _manifest_ints(where, "train index", train_idx)
             query_indices = _manifest_ints(where, "query index", query_idx)
             label_perm = _manifest_ints(where, "label_perm", perm)
+            source_ids = _manifest_ints(where, "source id", source)
             if train_indices.size != n * k or query_indices.size != n * q:
                 raise DataError(f"{where}: {train_indices.size} train and "
                                 f"{query_indices.size} query indices for N={n}, "
@@ -386,6 +414,8 @@ def read_task_manifest(path, ds: DataSet) -> list[Task]:
                 if bad.size:
                     raise DataError(f"{where}: {name} index {bad[0]} outside the "
                                     f"dataset's {ds.n} rows")
+            if source_ids.size != n:
+                raise DataError(f"{where}: {source_ids.size} source ids for N={n}")
             if not np.array_equal(np.sort(label_perm), np.arange(n)):
                 raise DataError(f"{where}: label_perm {perm!r} is not a permutation "
                                 f"of 0..{n - 1}")
@@ -398,7 +428,7 @@ def read_task_manifest(path, ds: DataSet) -> list[Task]:
                 query_y=eye[label_perm.repeat(q)],
                 train_indices=train_indices, query_indices=query_indices,
                 label_perm=label_perm,
-                source_ids=_manifest_ints(where, "source id", source),
+                source_ids=source_ids,
                 input_repr=repr_, split=split or None,
                 partition_index=part_idx, task_seed=task_seed,
             ))

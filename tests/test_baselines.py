@@ -5,10 +5,10 @@ from metafew.baselines import (cluster_matching_classify, knn_classify,
                                linear_fit, linear_predict, mlp_dropout_fit,
                                mlp_dropout_predict, train_from_scratch)
 from metafew.data import synth_mixture
-from metafew.errors import ConfigError, DataError
+from metafew.errors import ConfigError, DataError, NumericError, ShapeError
 from metafew.partition import (Partition, kmeans, partition_from_labels)
 from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
-                           sample_supervised_task)
+                           sample_supervised_task, stack_tasks)
 from test_metalearn import toy_task
 
 
@@ -214,3 +214,82 @@ def test_scratch_deterministic_given_rng():
     a = train_from_scratch(task, np.random.default_rng(30), steps=10)
     b = train_from_scratch(task, np.random.default_rng(30), steps=10)
     assert np.array_equal(a, b)
+
+
+# -- stacked fits: B tasks in one pass equal B 2-d fits -----------------------------
+
+def stacked_inputs(seed, B, n=10, d=6, classes=4):
+    rng = np.random.default_rng(seed)
+    # per-task scales make the tasks converge at different speeds
+    x = rng.standard_normal((B, n, d)) * rng.uniform(0.3, 3.0, (B, 1, 1))
+    y = np.stack([rng.permutation(np.arange(n) % classes) for _ in range(B)])
+    return x, y, classes
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+def test_stacked_linear_fit_equals_per_task_fits(B):
+    x, y, c = stacked_inputs(40, B)
+    model = linear_fit(x, y, c, max_iter=200)
+    pred = linear_predict(model, x)
+    for i in range(B):
+        ref = linear_fit(x[i], y[i], c, max_iter=200)
+        assert model.weights[i].tobytes() == ref.weights.tobytes()
+        assert model.bias[i].tobytes() == ref.bias.tobytes()
+        assert model.task_iters[i] == ref.n_iter
+        assert np.array_equal(pred[i], linear_predict(ref, x[i]))
+    assert model.n_iter == model.task_iters.max()
+
+def test_stacked_linear_fit_stops_each_task_at_its_own_iteration():
+    x, y, c = stacked_inputs(41, 8)
+    kw = dict(max_iter=800, tol=1e-2)
+    model = linear_fit(x, y, c, **kw)
+    refs = [linear_fit(x[i], y[i], c, **kw) for i in range(8)]
+    iters = [r.n_iter for r in refs]
+    # the stack mixes tasks reaching tol at different iterations with tasks
+    # stopped by the cap
+    assert kw["max_iter"] in iters and len(set(iters)) >= 4
+    assert model.task_iters.tolist() == iters
+    for i, ref in enumerate(refs):
+        assert model.weights[i].tobytes() == ref.weights.tobytes()
+        assert model.bias[i].tobytes() == ref.bias.tobytes()
+
+def test_divergence_in_one_task_of_a_stack_raises():
+    x, y, c = stacked_inputs(42, 3)
+    x[1] *= 1e306  # task 1 overflows within a few iterations; the others do not
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="diverged"):
+            linear_fit(x, y, c)
+        with pytest.raises(NumericError):
+            linear_fit(x[1], y[1], c)
+        linear_fit(np.delete(x, 1, axis=0), np.delete(y, 1, axis=0), c)
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+@pytest.mark.parametrize("dropout", [0.5, 0.0])
+def test_stacked_mlp_fit_equals_per_task_fits(B, dropout):
+    x, y, c = stacked_inputs(43, B)
+    model = mlp_dropout_fit(x, y, c, [np.random.default_rng(50 + i) for i in range(B)],
+                            hidden=16, dropout=dropout, steps=25)
+    pred = mlp_dropout_predict(model, x)
+    for i in range(B):
+        ref = mlp_dropout_fit(x[i], y[i], c, np.random.default_rng(50 + i),
+                              hidden=16, dropout=dropout, steps=25)
+        for got, want in zip(model.params.layers, ref.params.layers):
+            assert got.weights[i].tobytes() == want.weights.tobytes()
+            assert got.bias[i].tobytes() == want.bias.tobytes()
+        assert np.array_equal(pred[i], mlp_dropout_predict(ref, x[i]))
+
+def test_stacked_fit_needs_one_generator_per_task():
+    x, y, c = stacked_inputs(44, 3)
+    with pytest.raises(ShapeError, match="generators"):
+        mlp_dropout_fit(x, y, c, [np.random.default_rng(0)] * 2, steps=1)
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+def test_stacked_train_from_scratch_equals_per_task_calls(B, separable):
+    cfg = TaskStreamConfig(tasks=B, n_way=4, k_shot=2, q_queries=3, seed=45)
+    tasks = list(make_supervised_task_stream(cfg, separable))
+    got = train_from_scratch(stack_tasks(tasks),
+                             [np.random.default_rng(60 + i) for i in range(B)],
+                             hidden=(16, 12), steps=15)
+    for i, task in enumerate(tasks):
+        want = train_from_scratch(task, np.random.default_rng(60 + i),
+                                  hidden=(16, 12), steps=15)
+        assert np.array_equal(got[i], want)

@@ -6,9 +6,10 @@ import pytest
 from metafew.cli import main
 from metafew.data import load_dataset
 from metafew.evaluation import read_report_csv
-from metafew.metalearn import MetaConfig, initial_model
+from metafew.metalearn import MetaConfig, initial_model, maml_predict, protonet_predict
 from metafew.network import load_checkpoint, params_flatten
-from metafew.tasks import read_task_manifest
+from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
+                           read_task_manifest)
 
 
 def digest(path):
@@ -370,3 +371,63 @@ def test_usage_and_help():
     assert main([]) == 0
     assert main(["synth", "--help"]) == 0
     assert main(["frobnicate"]) == 2
+
+# header edits whose widths disagree with the d_z=3 embeddings
+WIDTH_MISMATCHED_HEADERS = {"scaling": "1,1", "hyperplane": "1,0;0,0"}
+
+@pytest.mark.parametrize("key", sorted(WIDTH_MISMATCHED_HEADERS))
+def test_evaluate_partition_of_other_width_is_exit_3(tmp_path, dataset, partitions,
+                                                     key, capsys):
+    lines = (tmp_path / f"{partitions.name}_000.part").read_text().splitlines()
+    lines = [l for l in lines if not l.startswith(f"# {key}=")]
+    lines.insert(1, f"# {key}={WIDTH_MISMATCHED_HEADERS[key]}")
+    path = tmp_path / "bad.part"
+    path.write_text("\n".join(lines) + "\n")
+    assert_data_error(capsys, eval_args(dataset, tmp_path / "cm.csv", "cluster-match",
+                                        partition=path))
+
+def test_evaluate_manifest_with_unknown_input_repr_is_exit_3(tmp_path, dataset,
+                                                             partitions, capsys):
+    manifest = tmp_path / "tasks.txt"
+    assert main(["gen-tasks", f"data={dataset}",
+                 f"partitions={partitions}_manifest.txt", f"out={manifest}",
+                 "tasks=3", "n_way=3", "k_shot=1", "q_queries=2", "seed=19"]) == 0
+    lines = manifest.read_text().splitlines()
+    first = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    fields = lines[first].split(";")
+    fields[4] = "bogus"
+    lines[first] = ";".join(fields)
+    manifest.write_text("\n".join(lines) + "\n")
+    assert_data_error(capsys, eval_args(dataset, tmp_path / "knn.csv", "knn",
+                                        tasks_manifest=manifest))
+
+@pytest.mark.parametrize("learner", ["maml", "protonet"])
+def test_logged_meta_val_accuracy_equals_per_task_predictions(tmp_path, learner):
+    data = tmp_path / "val.emb1"
+    assert main(synth_args(data, classes=9, val_classes=3, test_classes=2,
+                           train_classes=4)) == 0
+    assert main(["partition", f"data={data}", f"out_prefix={tmp_path / 'p'}",
+                 "method=kmeans", "k=4", "seed=9"]) == 0
+    over = dict(val_every=1, val_tasks=6, task_batch_size=1, n_way=2, inner_lr=0.1)
+    if learner == "protonet":
+        over["q_queries"] = 3
+    logged = []
+    for iters in (1, 2):
+        log, ckpt = tmp_path / f"log{iters}.csv", tmp_path / f"m{iters}.ckpt"
+        assert main(meta_train_args(data, tmp_path / "p", ckpt, log=log, learner=learner,
+                                    meta_iterations=iters, **over)) == 0
+        logged.append(log.read_text().strip().splitlines()[-1].split(",")[2])
+    ds = load_dataset(data)
+    val_cfg = TaskStreamConfig(tasks=6, n_way=2, k_shot=1, q_queries=5, seed=14,
+                               split="meta-val")
+    val_tasks = list(make_supervised_task_stream(val_cfg, ds))
+    for iters, text in zip((1, 2), logged):
+        # the run of `iters` iterations ends with the parameters validated last
+        params = load_checkpoint(tmp_path / f"m{iters}.ckpt")
+        if learner == "maml":
+            hits = [float((maml_predict(params, t, 0.1) == t.query_labels_int()).mean())
+                    for t in val_tasks]
+        else:
+            hits = [float((protonet_predict(params, t) == t.query_labels_int()).mean())
+                    for t in val_tasks]
+        assert text == repr(float(np.mean(hits)))

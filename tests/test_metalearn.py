@@ -14,7 +14,7 @@ from metafew.network import (Layer, ModelParams, apply_adam, forward,
                              params_flatten, params_mean, xent_loss_grad)
 from metafew.partition import generate_partitions, partition_from_labels
 from metafew.tasks import (Task, TaskStreamConfig, make_supervised_task_stream,
-                           make_task_stream, sample_supervised_task)
+                           make_task_stream, sample_supervised_task, stack_tasks)
 
 
 def toy_task(rng, n_way=2, k=3, q=4, d=3, separation=3.0):
@@ -175,6 +175,22 @@ def test_head_pruning_for_narrow_tasks():
     task = toy_task(rng, n_way=4, d=3)
     pred = maml_predict(wide, task, steps=5)
     assert pred.max() < 4
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+def test_stacked_maml_adapt_and_predict_equal_per_task_calls(B):
+    rng = np.random.default_rng(125)
+    tasks = [toy_task(rng, n_way=3, k=2, q=4, separation=1.0) for _ in range(B)]
+    wide = build_maml_model(3, 5, np.random.default_rng(126), hidden=(8, 6))
+    stacked = stack_tasks(tasks)
+    adapted = maml_adapt(prune_head(wide, 3), stacked, inner_lr=0.3, steps=7)
+    assert adapted.task_shape == (B,)
+    pred = maml_predict(wide, stacked, inner_lr=0.3, steps=7)
+    for i, task in enumerate(tasks):
+        ref = maml_adapt(prune_head(wide, 3), task, inner_lr=0.3, steps=7)
+        for got, want in zip(adapted.layers, ref.layers):
+            assert got.weights[i].tobytes() == want.weights.tobytes()
+            assert got.bias[i].tobytes() == want.bias.tobytes()
+        assert np.array_equal(pred[i], maml_predict(wide, task, inner_lr=0.3, steps=7))
 
 
 # -- prototypical networks -------------------------------------------------------------
