@@ -8,10 +8,9 @@ import numpy as np
 
 from metafew import (MetaConfig, SplitSpec, TaskStreamConfig, build_maml_model,
                      build_protonet_model, generate_partitions,
-                     grad_through_adaptation, maml_meta_train, maml_predict,
-                     make_supervised_task_stream, make_task_stream,
-                     protonet_meta_train, protonet_predict, split_dataset,
-                     synth_mixture)
+                     grad_through_adaptation, maml_predict,
+                     make_supervised_task_stream, make_task_stream, meta_train,
+                     protonet_predict, split_dataset, synth_mixture)
 
 ds = synth_mixture(num_classes=20, per_class=50, d_in=24, d_z=8,
                    noise=0.9, emb_noise=0.25, seed=51)
@@ -47,9 +46,9 @@ maml_cfg = MetaConfig(meta_iterations=600, task_batch_size=8, n_way=5,
 maml_stream = make_task_stream(TaskStreamConfig(tasks=600 * 8, n_way=5, k_shot=1,
                                                 q_queries=5, seed=59), parts, ds)
 losses = []
-maml = maml_meta_train(maml_cfg, maml_stream,
-                       build_maml_model(ds.d_in, 5, np.random.default_rng(59)),
-                       log_cb=lambda it, loss, val: losses.append(loss))
+maml = meta_train(maml_cfg, maml_stream,
+                  build_maml_model(ds.d_in, 5, np.random.default_rng(59)),
+                  log_cb=lambda it, loss, val: losses.append(loss))
 print(f"gradient learner: meta-loss {np.mean(losses[:50]):.3f} (first 50 iters) "
       f"-> {np.mean(losses[-50:]):.3f} (last 50)")
 
@@ -57,8 +56,8 @@ proto_cfg = MetaConfig(learner="protonet", meta_iterations=600, task_batch_size=
                        n_way=5, q_queries=15, outer_lr=0.0035, seed=61)
 proto_stream = make_task_stream(TaskStreamConfig(tasks=600, n_way=5, k_shot=1,
                                                  q_queries=15, seed=61), parts, ds)
-proto = protonet_meta_train(proto_cfg, proto_stream,
-                            build_protonet_model(ds.d_in, np.random.default_rng(61)))
+proto = meta_train(proto_cfg, proto_stream,
+                   build_protonet_model(ds.d_in, np.random.default_rng(61)))
 print("prototype learner: trained")
 
 print()

@@ -9,7 +9,7 @@ import numpy as np
 from metafew import (MetaConfig, SplitSpec, TaskStreamConfig, build_maml_model,
                      compare, evaluate, format_comparison, generate_partitions,
                      make_supervised_task_stream, make_task_stream, make_learner,
-                     maml_meta_train, split_dataset, synth_mixture)
+                     meta_train, split_dataset, synth_mixture)
 
 ds = synth_mixture(num_classes=20, per_class=50, d_in=24, d_z=8,
                    noise=0.9, emb_noise=0.25, seed=71)
@@ -22,8 +22,8 @@ cfg = MetaConfig(meta_iterations=600, task_batch_size=8, n_way=5,
                  outer_lr=0.0035, seed=75)
 stream = make_task_stream(TaskStreamConfig(tasks=600 * 8, n_way=5, k_shot=1,
                                            q_queries=5, seed=75), parts, ds)
-maml = maml_meta_train(cfg, stream,
-                       build_maml_model(ds.d_in, 5, np.random.default_rng(75)))
+maml = meta_train(cfg, stream,
+                  build_maml_model(ds.d_in, 5, np.random.default_rng(75)))
 
 eval_cfg = TaskStreamConfig(tasks=200, n_way=5, k_shot=5, q_queries=5,
                             seed=77, split="meta-test")
@@ -40,7 +40,7 @@ learners = {
     "cluster-match": make_learner("cluster-match", ds, partition=parts[0]),
 }
 for name, predict in learners.items():
-    report = evaluate(predict, tasks, learner_id=name, seed=79, chunked=True)
+    report = evaluate(predict, tasks, learner_id=name, seed=79)
     print(report.summary())
     reports.append(report)
 

@@ -12,13 +12,13 @@ from .data import (DataSet, SplitSpec, load_dataset, pca_whiten, save_dataset,
 from .errors import (ConfigError, ContractError, DataError, InfeasibleError,
                      MetafewError, NumericError, ShapeError, TaskRejected)
 from .evaluation import (ComparisonRow, EvalReport, ci95_half_width, compare,
-                         evaluate, format_comparison, read_report_csv,
-                         task_set_fingerprint, write_report_csv)
+                         evaluate, format_comparison, per_task,
+                         read_report_csv, task_set_fingerprint,
+                         write_report_csv)
 from .learners import make_learner
 from .metalearn import (MetaConfig, build_maml_model, build_protonet_model,
-                        maml_adapt, maml_meta_train, maml_predict, meta_train,
-                        protonet_classify, protonet_embed, protonet_loss_grad,
-                        protonet_meta_train, protonet_predict,
+                        maml_adapt, maml_predict, meta_train, protonet_classify,
+                        protonet_embed, protonet_loss_grad, protonet_predict,
                         protonet_prototypes, prune_head)
 from .network import (Layer, ModelParams, OptimizerState, apply_adam, apply_sgd,
                       forward, grad_through_adaptation, hvp_xent, init_adam,

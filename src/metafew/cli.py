@@ -399,7 +399,7 @@ def cmd_meta_train(cfg: dict, echo: str) -> int:
 
         def val_fn(params):
             predict = make_learner(learner, ds, params=params, inner_lr=cfg["inner_lr"])
-            report = evaluate(predict, val_tasks, chunked=True)
+            report = evaluate(predict, val_tasks)
             return float(np.mean(report.accuracies))
 
     log_rows: list[tuple[int, float, float | None]] = []
@@ -449,7 +449,7 @@ def cmd_evaluate(cfg: dict, echo: str) -> int:
     fingerprint = f"{_file_digest(data_path)[:8]}-{task_set_fingerprint(tasks)}"
     workers = cfg["workers"] or default_workers()
     report = evaluate(predict, tasks, learner_id=learner_id, fingerprint=fingerprint,
-                      seed=cfg["seed"], workers=workers, chunked=True)
+                      seed=cfg["seed"], workers=workers)
     write_report_csv(report, cfg["out"], config_text=echo)
     print(report.summary())
     return 0
@@ -461,8 +461,10 @@ def cmd_compare(paths: list[str], cfg: dict, echo: str) -> int:
     reports = []
     for path in paths:
         report, summary = read_report_csv(_require_file(path, "report"))
-        if summary and float(summary.get("mean", report.mean)) != report.mean:
-            raise DataError(f"{path}: stored mean does not match its rows")
+        mean = fmt_float(report.mean)  # the writer's exact text
+        if summary.get("mean", mean) != mean:
+            raise DataError(f"{path}: stored mean {summary['mean']!r} does not "
+                            f"match its rows")
         reports.append(report)
     rows = compare(reports)
     print(format_comparison(rows))

@@ -111,13 +111,12 @@ def per_task(predict_fn: Callable[[Task, np.random.Generator], np.ndarray]):
 
 
 def evaluate(predict_fn: Callable, tasks: list[Task], learner_id: str = "",
-             fingerprint: str = "", seed: int = 0, workers: int = 1,
-             chunked: bool = False) -> EvalReport:
+             fingerprint: str = "", seed: int = 0, workers: int = 1) -> EvalReport:
     """Per-task accuracy of predict_fn over a fixed task set.
 
-    predict_fn(task, rng) returns one task's query predictions. With
-    chunked=True, predict_fn(tasks, rngs) takes a chunk of equally shaped
-    tasks (see task_chunks) and returns one prediction array per task.
+    predict_fn(tasks, rngs) takes a chunk of equally shaped tasks (see
+    task_chunks) with one generator each and returns one prediction array
+    per task; per_task adapts a learner that predicts one task at a time.
 
     The per-task generator is keyed to (seed, task.task_seed), so stochastic
     learners stay deterministic and invariant to task order and chunking.
@@ -127,12 +126,11 @@ def evaluate(predict_fn: Callable, tasks: list[Task], learner_id: str = "",
         raise ConfigError("no tasks to evaluate")
     if not fingerprint:
         fingerprint = task_set_fingerprint(tasks)
-    predict_chunk = predict_fn if chunked else per_task(predict_fn)
 
     def run_chunk(chunk: list[Task]) -> list[float]:
         rngs = [stable_rng(seed, t.task_seed if t.task_seed is not None else 0)
                 for t in chunk]
-        preds = predict_chunk(chunk, rngs)
+        preds = predict_fn(chunk, rngs)
         if len(preds) != len(chunk):
             raise DataError(f"learner returned {len(preds)} predictions for a "
                             f"chunk of {len(chunk)} tasks")
@@ -222,12 +220,14 @@ def write_report_csv(report: EvalReport, path, config_text: str | None = None) -
 
 def read_report_csv(path) -> tuple[EvalReport, dict[str, str]]:
     """Rebuild a report from its CSV; returns the report and the parsed
-    summary fields for cross-checking."""
+    summary fields for cross-checking. A row whose accuracy is not a number,
+    or a seed header that is not an integer, is a DataError."""
     meta: dict[str, str] = {}
     summary: dict[str, str] = {}
     acc = []
+    seed = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -240,12 +240,21 @@ def read_report_csv(path) -> tuple[EvalReport, dict[str, str]]:
                 else:
                     key, _, value = body.partition("=")
                     meta[key] = value
+                    if key == "seed":  # an unseeded report writes it empty
+                        seed = (_report_field(path, lineno, "seed", value, int)
+                                if value else None)
                 continue
             if line.startswith("task_index"):
                 continue
             _, _, value = line.partition(",")
-            acc.append(float(value))
+            acc.append(_report_field(path, lineno, "accuracy", value, float))
     report = EvalReport(np.array(acc), learner_id=meta.get("learner", ""),
-                        fingerprint=meta.get("fingerprint", ""),
-                        seed=int(meta["seed"]) if meta.get("seed") else None)
+                        fingerprint=meta.get("fingerprint", ""), seed=seed)
     return report, summary
+
+
+def _report_field(path, lineno: int, name: str, text: str, parse):
+    try:
+        return parse(text)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: bad {name} {text!r}") from None

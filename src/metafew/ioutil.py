@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 TRAILER_MAGIC = b"CFG1"
 
@@ -30,6 +30,8 @@ def read_config_trailer(blob: bytes, pos: int) -> str | None:
         return None
     if blob[pos:pos + 4] != TRAILER_MAGIC:
         raise DataError(f"unexpected {len(blob) - pos} trailing bytes")
+    if pos + 8 > len(blob):
+        raise DataError("truncated config trailer")
     (length,) = struct.unpack_from("<I", blob, pos + 4)
     raw = blob[pos + 8:pos + 8 + length]
     if len(raw) != length or pos + 8 + length != len(blob):
@@ -51,7 +53,10 @@ def stable_rng(*entropy: int) -> np.random.Generator:
 def default_workers() -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV}={env!r} is not an integer") from None
     return os.cpu_count() or 1
 
 

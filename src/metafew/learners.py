@@ -38,9 +38,9 @@ def make_learner(learner_id: str, ds: DataSet, *,
                  hidden: tuple[int, ...] = (64, 64)):
     """Build predict(tasks, rngs) for any learner id the CLI accepts: it
     takes a chunk of equally shaped tasks with one generator each, as
-    evaluate(..., chunked=True) passes them, and returns one prediction
-    array per task. maml, scratch, linear and mlp fit the whole chunk in
-    one stacked pass; the other learners predict each task alone."""
+    evaluate passes them, and returns one prediction array per task. maml,
+    protonet, scratch, linear and mlp fit the whole chunk in one stacked
+    pass; knn and cluster-match predict each task alone."""
     if learner_id == "maml":
         if params is None:
             raise ConfigError("maml learner needs a checkpoint")
@@ -49,7 +49,7 @@ def make_learner(learner_id: str, ds: DataSet, *,
     if learner_id == "protonet":
         if params is None:
             raise ConfigError("protonet learner needs a checkpoint")
-        return per_task(lambda task, rng: protonet_predict(params, task))
+        return lambda tasks, rngs: protonet_predict(params, stack_tasks(tasks))
     if learner_id == "scratch":
         return lambda tasks, rngs: train_from_scratch(
             stack_tasks(tasks), rngs, hidden=hidden, steps=adapt_steps, lr=inner_lr)

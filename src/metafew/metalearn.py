@@ -3,17 +3,18 @@ default) and prototypical networks over task streams."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .ioutil import stable_rng
-from .network import (Layer, ModelParams, apply_adam, apply_sgd,
+from .network import (Layer, ModelParams, _mean_xent, apply_adam, apply_sgd,
                       backprop_from_output, forward, grad_through_adaptation,
                       init_adam, init_mlp, log_softmax, params_allfinite,
-                      params_mean, params_task_mean, softmax, xent_loss_grad)
+                      params_task_mean, xent_loss_grad)
 from .tasks import Task, stack_tasks
 
 DEFAULT_HIDDEN = (64, 64)
@@ -73,44 +74,40 @@ def prune_head(params: ModelParams, n_way: int) -> ModelParams:
     return ModelParams([l.copy() for l in params.layers[:-1]] + [pruned])
 
 
-# -- MAML -----------------------------------------------------------------------
+# -- meta-training -----------------------------------------------------------------
 
-def maml_meta_train(cfg: MetaConfig, task_stream: Iterator[Task],
-                    init_params: ModelParams,
-                    log_cb: Callable[[int, float, float | None], None] | None = None,
-                    val_fn: Callable[[ModelParams], float] | None = None,
-                    val_every: int = 0) -> ModelParams:
-    """Fixed number of meta-iterations; each averages the exact adaptation
-    meta-gradient over a batch of tasks and applies one Adam step. The
-    batch's tasks are stacked and adapted in one pass, so they must share
-    their shapes. The optional val_fn is monitoring only and never stops
-    training early."""
+def meta_train(cfg: MetaConfig, task_stream: Iterator[Task], init_params: ModelParams,
+               log_cb: Callable[[int, float, float | None], None] | None = None,
+               val_fn: Callable[[ModelParams], float] | None = None,
+               val_every: int = 0) -> ModelParams:
+    """Fixed number of meta-iterations. Each stacks a batch of equally
+    shaped tasks, takes the learner's per-task losses and gradients in one
+    pass (the exact adaptation meta-gradient for maml, the prototype loss
+    gradient for protonet) and applies one Adam step to their mean. The
+    optional val_fn is monitoring only and never stops training early."""
+    if cfg.learner == "maml":
+        def loss_grad(params, batch):
+            return grad_through_adaptation(
+                params, (batch.train_x, batch.train_y),
+                (batch.query_x, batch.query_y), cfg.inner_lr,
+                cfg.inner_steps_train, cfg.first_order)
+    else:
+        loss_grad = protonet_loss_grad
     stream = iter(task_stream)
     params = init_params.copy()
     state = init_adam(params, cfg.outer_lr)
     for it in range(cfg.meta_iterations):
-        tasks = []
-        for _ in range(cfg.task_batch_size):
-            try:
-                tasks.append(next(stream))
-            except StopIteration:
-                raise ConfigError(
-                    f"task stream exhausted at meta-iteration {it}: need "
-                    f"{cfg.meta_iterations * cfg.task_batch_size} tasks") from None
+        tasks = list(islice(stream, cfg.task_batch_size))
+        if len(tasks) < cfg.task_batch_size:
+            raise ConfigError(
+                f"task stream exhausted at meta-iteration {it}: need "
+                f"{cfg.meta_iterations * cfg.task_batch_size} tasks")
         try:
-            batch = stack_tasks(tasks)
-        except ShapeError as exc:
-            raise ShapeError(f"meta-iteration {it}: {exc}") from None
-        try:
-            losses, grads = grad_through_adaptation(
-                params, (batch.train_x, batch.train_y),
-                (batch.query_x, batch.query_y), cfg.inner_lr,
-                cfg.inner_steps_train, cfg.first_order)
-        except NumericError as exc:
-            raise NumericError(f"meta-iteration {it}: {exc}") from None
-        meta_loss = float(np.mean(losses))
-        if not np.isfinite(meta_loss):
-            raise NumericError(f"meta-iteration {it}: non-finite meta-loss")
+            losses, grads = loss_grad(params, stack_tasks(tasks))
+        except (ShapeError, NumericError) as exc:
+            raise type(exc)(f"meta-iteration {it}: {exc}") from None
+        if not (np.isfinite(losses).all() and params_allfinite(grads)):
+            raise NumericError(f"meta-iteration {it}: non-finite loss/gradient")
         params, state = apply_adam(params, params_task_mean(grads), state)
         if not params_allfinite(params):
             raise NumericError(f"meta-iteration {it}: non-finite parameters")
@@ -118,9 +115,11 @@ def maml_meta_train(cfg: MetaConfig, task_stream: Iterator[Task],
             val = None
             if val_fn is not None and val_every and (it + 1) % val_every == 0:
                 val = val_fn(params)
-            log_cb(it, meta_loss, val)
+            log_cb(it, float(np.mean(losses)), val)
     return params
 
+
+# -- MAML -----------------------------------------------------------------------
 
 def maml_adapt(params: ModelParams, task: Task, inner_lr: float = 0.05,
                steps: int = 50) -> ModelParams:
@@ -175,37 +174,40 @@ def protonet_embed(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def protonet_prototypes(embedded: np.ndarray, onehot_labels: np.ndarray) -> np.ndarray:
-    """Per-class arithmetic means of the embedded train shots."""
+    """Per-class arithmetic means of the embedded train shots, one set per
+    task for a (B, n, d) stack."""
     e = np.asarray(embedded, dtype=np.float64)
     y = np.asarray(onehot_labels, dtype=np.float64)
-    if e.shape[0] != y.shape[0]:
-        raise ShapeError(f"{e.shape[0]} embeddings vs {y.shape[0]} label rows")
-    counts = y.sum(axis=0)
+    if e.shape[:-1] != y.shape[:-1]:
+        raise ShapeError(f"embeddings {e.shape} vs label rows {y.shape}")
+    counts = y.sum(axis=-2)
     if np.any(counts < 1):
-        missing = np.flatnonzero(counts < 1).tolist()
+        missing = np.unique(np.nonzero(counts < 1)[-1]).tolist()
         raise DataError(f"classes {missing} have no train shots")
-    return (y.T @ e) / counts[:, None]
+    return (y.swapaxes(-1, -2) @ e) / counts[..., None]
 
 
 def protonet_classify(prototypes: np.ndarray, embedded_queries: np.ndarray) -> np.ndarray:
     """Logits are negative squared Euclidean distances to each prototype."""
     p = np.asarray(prototypes, dtype=np.float64)
     q = np.asarray(embedded_queries, dtype=np.float64)
-    if p.shape[1] != q.shape[1]:
-        raise ShapeError(f"prototype width {p.shape[1]} != query width {q.shape[1]}")
-    d2 = ((q[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-    return -d2
+    if p.shape[-1] != q.shape[-1]:
+        raise ShapeError(f"prototype width {p.shape[-1]} != query width {q.shape[-1]}")
+    return -((q[..., :, None, :] - p[..., None, :, :]) ** 2).sum(axis=-1)
 
 
 def protonet_predict(params: ModelParams, task: Task) -> np.ndarray:
+    """Nearest-prototype query labels, one row per task for a stacked task."""
     protos = protonet_prototypes(protonet_embed(params, task.train_x), task.train_y)
-    return protonet_classify(protos, protonet_embed(params, task.query_x)).argmax(axis=1)
+    return protonet_classify(protos, protonet_embed(params, task.query_x)).argmax(axis=-1)
 
 
-def protonet_loss_grad(params: ModelParams, task: Task) -> tuple[float, ModelParams]:
+def protonet_loss_grad(params: ModelParams,
+                       task: Task) -> tuple[float | np.ndarray, ModelParams]:
     """Softmax cross-entropy over negative squared distances on the query
     set, with exact gradients through both query embeddings and the
-    prototype means of the support embeddings."""
+    prototype means of the support embeddings. A stacked task gives one
+    loss and one gradient per task, each equal to its own 2-d call."""
     es = protonet_embed(params, task.train_x)
     eq = protonet_embed(params, task.query_x)
     s = task.train_y
@@ -213,60 +215,17 @@ def protonet_loss_grad(params: ModelParams, task: Task) -> tuple[float, ModelPar
     logits = protonet_classify(protos, eq)
     y = task.query_y
     logp = log_softmax(logits)
-    loss = float(-(logp * y).sum(axis=1).mean())
-    m = logits.shape[0]
-    g = (np.exp(logp) - y) / m                       # dL/dlogits
-    d_eq = -2.0 * (eq * g.sum(axis=1, keepdims=True) - g @ protos)
-    d_protos = 2.0 * (g.T @ eq - protos * g.sum(axis=0)[:, None])
-    counts = s.sum(axis=0)
-    d_es = s @ (d_protos / counts[:, None])
+    g = (np.exp(logp) - y) / logits.shape[-2]        # dL/dlogits
+    d_eq = -2.0 * (eq * g.sum(axis=-1, keepdims=True) - g @ protos)
+    d_protos = 2.0 * (g.swapaxes(-1, -2) @ eq - protos * g.sum(axis=-2)[..., None])
+    d_es = s @ (d_protos / s.sum(axis=-2)[..., None])
     grads_q = backprop_from_output(params, task.query_x, d_eq)
     grads_s = backprop_from_output(params, task.train_x, d_es)
     total = ModelParams([
         Layer(a.weights + b.weights, a.bias + b.bias, a.activation)
         for a, b in zip(grads_q.layers, grads_s.layers)
     ])
-    return loss, total
-
-
-def protonet_meta_train(cfg: MetaConfig, task_stream: Iterator[Task],
-                        init_params: ModelParams,
-                        log_cb: Callable[[int, float, float | None], None] | None = None,
-                        val_fn: Callable[[ModelParams], float] | None = None,
-                        val_every: int = 0) -> ModelParams:
-    """Adam on the prototype classification loss, one batch of tasks per
-    meta-iteration (conventionally batch size 1)."""
-    stream = iter(task_stream)
-    params = init_params.copy()
-    state = init_adam(params, cfg.outer_lr)
-    for it in range(cfg.meta_iterations):
-        losses, grads = [], []
-        for _ in range(cfg.task_batch_size):
-            try:
-                task = next(stream)
-            except StopIteration:
-                raise ConfigError(
-                    f"task stream exhausted at meta-iteration {it}") from None
-            loss, g = protonet_loss_grad(params, task)
-            if not (np.isfinite(loss) and params_allfinite(g)):
-                raise NumericError(f"meta-iteration {it}: non-finite loss/gradient")
-            losses.append(loss)
-            grads.append(g)
-        params, state = apply_adam(params, params_mean(grads), state)
-        if not params_allfinite(params):
-            raise NumericError(f"meta-iteration {it}: non-finite parameters")
-        if log_cb is not None:
-            val = None
-            if val_fn is not None and val_every and (it + 1) % val_every == 0:
-                val = val_fn(params)
-            log_cb(it, float(np.mean(losses)), val)
-    return params
-
-
-def meta_train(cfg: MetaConfig, task_stream: Iterator[Task], init_params: ModelParams,
-               **kwargs) -> ModelParams:
-    trainer = maml_meta_train if cfg.learner == "maml" else protonet_meta_train
-    return trainer(cfg, task_stream, init_params, **kwargs)
+    return _mean_xent(logp, y), total
 
 
 def initial_model(cfg: MetaConfig, d_in: int) -> ModelParams:

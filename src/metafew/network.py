@@ -484,8 +484,16 @@ def load_checkpoint_with_config(path) -> tuple[ModelParams, str | None]:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad checkpoint magic {blob[:4]!r}")
+
+    def need(pos: int, size: int, what: str) -> None:
+        if pos + size > len(blob):
+            raise DataError(f"{path}: truncated checkpoint: {what} needs {size} "
+                            f"bytes at offset {pos}, the file has {len(blob)}")
+
+    need(4, 4, "layer count")
     (n_layers,) = struct.unpack_from("<I", blob, 4)
     pos = 8
+    need(pos, 12 * n_layers, "layer table")
     headers = []
     for _ in range(n_layers):
         d_in, d_out, act = struct.unpack_from("<III", blob, pos)
@@ -494,14 +502,19 @@ def load_checkpoint_with_config(path) -> tuple[ModelParams, str | None]:
         headers.append((d_in, d_out, _ACT_NAME[act]))
         pos += 12
     layers = []
-    for d_in, d_out, act in headers:
+    for i, (d_in, d_out, act) in enumerate(headers):
         wn = d_in * d_out * 8
+        need(pos, wn, f"layer {i} weights")
         w = np.frombuffer(blob, dtype="<f8", count=d_in * d_out, offset=pos).reshape(d_in, d_out)
         pos += wn
+        need(pos, d_out * 8, f"layer {i} bias")
         b = np.frombuffer(blob, dtype="<f8", count=d_out, offset=pos)
         pos += d_out * 8
         layers.append(Layer(w.astype(np.float64), b.astype(np.float64), act))
-    config = read_config_trailer(blob, pos)
+    try:
+        config = read_config_trailer(blob, pos)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     params = ModelParams(layers)
     params.validate()
     return params, config

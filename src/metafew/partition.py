@@ -445,9 +445,10 @@ def save_partition(part: Partition, path) -> None:
 
 
 def load_partition(path, points: np.ndarray | None = None) -> Partition:
-    """Rebuild a partition from its text form. When the clustered points
-    are supplied, they must number n, the scaling and every hyperplane
-    must match their width, and centroids are recomputed as member means.
+    """Rebuild a partition from its text form. When the clustered embedding
+    points are supplied, the partition must come from the embedding space,
+    they must number n, the scaling and every hyperplane must match their
+    width, and centroids are recomputed as member means.
     The body must list every index 0..n-1 exactly once with a cluster id
     >= -1. A malformed header value is a DataError."""
     header: dict[str, str] = {}
@@ -497,6 +498,10 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
         hyperplanes=planes or None,
     )
     if points is not None:
+        if part.source_space != "embedding":
+            raise DataError(f"{path}: partition clustered in source_space="
+                            f"{part.source_space}, but its centroids need the "
+                            f"embedding space")
         width = points.shape[1]
         if part.scaling is not None and part.scaling.shape != (width,):
             raise DataError(f"{path}: scaling has {part.scaling.size} entries, but "

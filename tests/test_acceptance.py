@@ -18,12 +18,11 @@ from helpers import brute_force_two_means, finite_difference_grad, relative_erro
 from metafew.baselines import cluster_matching_classify
 from metafew.cli import main
 from metafew.data import SplitSpec, split_dataset, synth_mixture
-from metafew.evaluation import evaluate, read_report_csv
+from metafew.evaluation import evaluate, per_task, read_report_csv
+from metafew.learners import make_learner
 from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_model,
-                               maml_meta_train, maml_predict, protonet_classify,
-                               protonet_embed, protonet_loss_grad,
-                               protonet_meta_train, protonet_predict,
-                               protonet_prototypes)
+                               meta_train, protonet_classify, protonet_embed,
+                               protonet_loss_grad, protonet_prototypes)
 from metafew.network import (apply_sgd, grad_through_adaptation, init_mlp,
                              xent_loss, xent_loss_grad)
 from metafew.partition import (generate_hyperplane_partitions, generate_partitions,
@@ -206,7 +205,7 @@ def ordering_experiment():
         cfg = MetaConfig(meta_iterations=b["iterations"], task_batch_size=8,
                          n_way=5, outer_lr=b["outer_lr"], seed=seed)
         init = build_maml_model(ds.d_in, 5, np.random.default_rng(seed))
-        return maml_meta_train(cfg, make_task_stream(stream_cfg, parts, ds), init)
+        return meta_train(cfg, make_task_stream(stream_cfg, parts, ds), init)
 
     def train_protonet(parts, seed):
         stream_cfg = TaskStreamConfig(tasks=b["iterations"], n_way=5, k_shot=1,
@@ -215,7 +214,7 @@ def ordering_experiment():
                          task_batch_size=1, n_way=5, q_queries=15,
                          outer_lr=b["outer_lr"], seed=seed)
         init = build_protonet_model(ds.d_in, np.random.default_rng(seed))
-        return protonet_meta_train(cfg, make_task_stream(stream_cfg, parts, ds), init)
+        return meta_train(cfg, make_task_stream(stream_cfg, parts, ds), init)
 
     start = time.time()
     cluster_maml = train_maml(cluster_parts, 41)
@@ -228,18 +227,19 @@ def ordering_experiment():
         return list(make_supervised_task_stream(cfg, ds))
 
     tasks1 = tasks_at(1)
+    cluster_maml_predict = make_learner("maml", ds, params=cluster_maml)
     reports = {
-        "cluster-maml": evaluate(lambda t, rng: maml_predict(cluster_maml, t),
-                                tasks1, learner_id="cluster-maml"),
-        "random-maml": evaluate(lambda t, rng: maml_predict(random_maml, t),
+        "cluster-maml": evaluate(cluster_maml_predict, tasks1,
+                                 learner_id="cluster-maml"),
+        "random-maml": evaluate(make_learner("maml", ds, params=random_maml),
                                 tasks1, learner_id="random-maml"),
-        "cluster-protonet": evaluate(lambda t, rng: protonet_predict(cluster_proto, t),
-                                    tasks1, learner_id="cluster-protonet"),
+        "cluster-protonet": evaluate(make_learner("protonet", ds, params=cluster_proto),
+                                     tasks1, learner_id="cluster-protonet"),
     }
     sweep = {1: reports["cluster-maml"]}
     for k_shot in (5, 20, 50):
-        sweep[k_shot] = evaluate(lambda t, rng: maml_predict(cluster_maml, t),
-                                 tasks_at(k_shot), learner_id=f"cluster-maml@{k_shot}")
+        sweep[k_shot] = evaluate(cluster_maml_predict, tasks_at(k_shot),
+                                 learner_id=f"cluster-maml@{k_shot}")
     return {"reports": reports, "sweep": sweep, "train_seconds": time.time() - start}
 
 
@@ -356,8 +356,9 @@ def test_criterion_8_statistics(tmp_path):
         ds = synth_mixture(6, 20, 4, 3, noise=0.3, seed=80000)
         cfg = TaskStreamConfig(tasks=37, n_way=4, k_shot=1, q_queries=5, seed=80001)
         tasks = list(make_supervised_task_stream(cfg, ds))
-        report = evaluate(lambda t, rng: rng.integers(0, t.n_way, t.query_y.shape[0]),
-                          tasks, learner_id="random", seed=80002)
+        report = evaluate(
+            per_task(lambda t, rng: rng.integers(0, t.n_way, t.query_y.shape[0])),
+            tasks, learner_id="random", seed=80002)
         from metafew.evaluation import write_report_csv
         path = tmp_path / "r.csv"
         write_report_csv(report, path)

@@ -16,10 +16,11 @@ from metafew.baselines import (linear_fit, linear_predict, mlp_dropout_fit,
                                mlp_dropout_predict, train_from_scratch)
 from metafew.data import synth_mixture
 from metafew.errors import DataError
-from metafew.evaluation import evaluate, task_chunks
+from metafew.evaluation import evaluate, per_task, task_chunks
 from metafew.ioutil import stable_rng
 from metafew.learners import LEARNER_IDS, make_learner
-from metafew.metalearn import build_maml_model, build_protonet_model, maml_predict
+from metafew.metalearn import (build_maml_model, build_protonet_model, maml_predict,
+                               protonet_predict)
 from metafew.partition import kmeans
 from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
                            read_task_manifest, write_task_manifest)
@@ -42,14 +43,17 @@ def mixed_tasks(ds):
     return one[:3] + two[:2] + one[3:4] + two[2:6] + one[4:] + two[6:]
 
 
+def models(ds):
+    rng = np.random.default_rng(153)
+    return {"maml": build_maml_model(ds.d_in, 3, rng, hidden=(8, 8)),
+            "protonet": build_protonet_model(ds.d_in, rng, hidden=(8,))}
+
+
 @pytest.fixture(scope="module")
 def learners(ds):
-    rng = np.random.default_rng(153)
-    maml = build_maml_model(ds.d_in, 3, rng, hidden=(8, 8))
-    proto = build_protonet_model(ds.d_in, rng, hidden=(8,))
+    params = models(ds)
     part = kmeans(ds.embeddings, 8, seed=154)
-    return {lid: make_learner(lid, ds, params={"maml": maml, "protonet": proto}.get(lid),
-                              partition=part, **SMALL)
+    return {lid: make_learner(lid, ds, params=params.get(lid), partition=part, **SMALL)
             for lid in LEARNER_IDS}
 
 
@@ -62,8 +66,7 @@ def test_accuracies_independent_of_chunk_budget_and_workers(
         monkeypatch.setattr(evaluation, "CHUNK_ROWS", rows)
         assert len(task_chunks(mixed_tasks)) == chunks
         for workers in (1, 2):
-            runs.append(evaluate(predict, mixed_tasks, seed=3, workers=workers,
-                                 chunked=True).accuracies)
+            runs.append(evaluate(predict, mixed_tasks, seed=3, workers=workers).accuracies)
     for acc in runs[1:]:
         assert acc.tobytes() == runs[0].tobytes()
 
@@ -73,20 +76,22 @@ def two_d_reference(learner_id, ds, params):
     def emb(idx):
         return ds.embeddings[idx]
     if learner_id == "linear":
-        return lambda t, rng: linear_predict(
+        return per_task(lambda t, rng: linear_predict(
             linear_fit(emb(t.train_indices), t.train_labels_int(), t.n_way,
-                       max_iter=SMALL["linear_max_iter"]), emb(t.query_indices))
+                       max_iter=SMALL["linear_max_iter"]), emb(t.query_indices)))
     if learner_id == "mlp":
-        return lambda t, rng: mlp_dropout_predict(
+        return per_task(lambda t, rng: mlp_dropout_predict(
             mlp_dropout_fit(emb(t.train_indices), t.train_labels_int(), t.n_way, rng,
-                            steps=SMALL["mlp_steps"]), emb(t.query_indices))
+                            steps=SMALL["mlp_steps"]), emb(t.query_indices)))
     if learner_id == "scratch":
-        return lambda t, rng: train_from_scratch(t, rng, hidden=SMALL["hidden"],
-                                                 steps=SMALL["adapt_steps"])
-    return lambda t, rng: maml_predict(params, t, 0.05, SMALL["adapt_steps"])
+        return per_task(lambda t, rng: train_from_scratch(t, rng, hidden=SMALL["hidden"],
+                                                          steps=SMALL["adapt_steps"]))
+    if learner_id == "protonet":
+        return per_task(lambda t, rng: protonet_predict(params, t))
+    return per_task(lambda t, rng: maml_predict(params, t, 0.05, SMALL["adapt_steps"]))
 
 
-@pytest.mark.parametrize("learner_id", ["linear", "mlp", "scratch", "maml"])
+@pytest.mark.parametrize("learner_id", ["linear", "mlp", "scratch", "maml", "protonet"])
 def test_mixed_shape_manifest_matches_per_task_reference(
         learner_id, ds, learners, mixed_tasks, tmp_path, monkeypatch):
     path = tmp_path / "tasks.txt"
@@ -94,8 +99,8 @@ def test_mixed_shape_manifest_matches_per_task_reference(
     tasks = read_task_manifest(path, ds)
     monkeypatch.setattr(evaluation, "CHUNK_ROWS", 40)
     assert len(task_chunks(tasks)) < len(tasks)
-    got = evaluate(learners[learner_id], tasks, seed=5, chunked=True)
-    params = build_maml_model(ds.d_in, 3, np.random.default_rng(153), hidden=(8, 8))
+    got = evaluate(learners[learner_id], tasks, seed=5)
+    params = models(ds).get(learner_id)
     want = evaluate(two_d_reference(learner_id, ds, params), tasks, seed=5)
     assert got.accuracies.tobytes() == want.accuracies.tobytes()
 
@@ -112,10 +117,10 @@ def test_chunks_hold_consecutive_tasks_of_one_shape(mixed_tasks, monkeypatch):
 def test_wrong_shape_prediction_from_a_chunk_is_a_data_error(mixed_tasks):
     with pytest.raises(DataError, match="predictions for"):
         evaluate(lambda tasks, rngs: [np.zeros(1, dtype=int)] * len(tasks),
-                 mixed_tasks, chunked=True)
+                 mixed_tasks)
     with pytest.raises(DataError, match="chunk of"):
         evaluate(lambda tasks, rngs: [t.query_labels_int() for t in tasks[1:]],
-                 mixed_tasks, chunked=True)
+                 mixed_tasks)
 
 
 def test_chunk_learners_get_each_task_its_own_generator(mixed_tasks):
@@ -125,7 +130,7 @@ def test_chunk_learners_get_each_task_its_own_generator(mixed_tasks):
         seen.extend(r.integers(2 ** 62) for r in rngs)
         return [t.query_labels_int() for t in tasks]
 
-    evaluate(record, mixed_tasks, seed=9, chunked=True)
+    evaluate(record, mixed_tasks, seed=9)
     want = [stable_rng(9, t.task_seed).integers(2 ** 62) for t in mixed_tasks]
     assert seen == want
 

@@ -431,3 +431,61 @@ def test_logged_meta_val_accuracy_equals_per_task_predictions(tmp_path, learner)
             hits = [float((protonet_predict(params, t) == t.query_labels_int()).mean())
                     for t in val_tasks]
         assert text == repr(float(np.mean(hits)))
+
+@pytest.mark.parametrize("where", ["magic", "layer_table", "weights", "bias"])
+def test_evaluate_truncated_checkpoint_is_exit_3(tmp_path, dataset, partitions,
+                                                 where, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(meta_train_args(dataset, partitions, ckpt)) == 0
+    params = load_checkpoint(ckpt)
+    weights = 8 + 12 * len(params.layers)  # first weight block
+    bias = weights + params.layers[0].weights.nbytes
+    cut = {"magic": 2, "layer_table": 14, "weights": weights + 20,
+           "bias": bias + 20}[where]
+    short = tmp_path / "short.ckpt"
+    short.write_bytes(ckpt.read_bytes()[:cut])
+    capsys.readouterr()
+    assert main(eval_args(dataset, tmp_path / "maml.csv", "maml",
+                          checkpoint=short)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(short) in err
+    assert "Traceback" not in err
+
+# each edit rewrites the lines of a saved report that start with the prefix
+BAD_REPORT_LINES = {"row": ("0,", "0,abc1.0"), "seed": ("# seed=", "# seed=x"),
+                    "summary": ("# summary:", "# summary: tasks=12 mean=abc ci95=0.0")}
+
+@pytest.mark.parametrize("case", sorted(BAD_REPORT_LINES))
+def test_compare_malformed_report_is_exit_3(tmp_path, dataset, case, capsys):
+    path = tmp_path / "knn.csv"
+    assert main(eval_args(dataset, path, "knn")) == 0
+    prefix, edit = BAD_REPORT_LINES[case]
+    lines = [edit if l.startswith(prefix) else l
+             for l in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["compare", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err
+    assert "Traceback" not in err
+
+@pytest.mark.parametrize("d_in", [3, 4])
+def test_cluster_match_on_pixel_partition_is_exit_3(tmp_path, d_in, capsys):
+    # d_z is 3: at d_in=3 every width check would pass
+    data = tmp_path / "ds.emb1"
+    assert main(synth_args(data, d_in=d_in)) == 0
+    assert main(["partition", f"data={data}", f"out_prefix={tmp_path / 'px'}",
+                 "method=pixel", "k=4", "seed=9"]) == 0
+    capsys.readouterr()
+    assert main(eval_args(data, tmp_path / "cm.csv", "cluster-match",
+                          partition=tmp_path / "px_000.part")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "source_space=raw" in err
+
+def test_non_integer_workers_variable_is_exit_2(tmp_path, dataset, capsys,
+                                                 monkeypatch):
+    monkeypatch.setenv("METAFEW_WORKERS", "abc")
+    capsys.readouterr()
+    assert main(eval_args(dataset, tmp_path / "knn.csv", "knn", workers=0)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "METAFEW_WORKERS" in err

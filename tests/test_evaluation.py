@@ -4,7 +4,7 @@ import pytest
 from metafew.data import synth_mixture
 from metafew.errors import ConfigError
 from metafew.evaluation import (EvalReport, ci95_half_width, compare, evaluate,
-                                format_comparison, read_report_csv,
+                                format_comparison, per_task, read_report_csv,
                                 task_set_fingerprint, write_report_csv)
 from metafew.tasks import TaskStreamConfig, make_supervised_task_stream
 
@@ -16,9 +16,11 @@ def tasks():
     return list(make_supervised_task_stream(cfg, ds))
 
 
+@per_task
 def oracle_learner(task, rng):
     return task.query_labels_int()
 
+@per_task
 def random_learner(task, rng):
     return rng.integers(0, task.n_way, task.query_y.shape[0])
 

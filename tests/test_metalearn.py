@@ -5,10 +5,10 @@ from helpers import finite_difference_grad, relative_error
 from metafew.data import synth_mixture
 from metafew.errors import ShapeError
 from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_model,
-                               maml_adapt, maml_meta_train, maml_predict,
+                               maml_adapt, maml_predict, meta_train,
                                protonet_classify, protonet_embed,
-                               protonet_loss_grad, protonet_meta_train,
-                               protonet_predict, protonet_prototypes, prune_head)
+                               protonet_loss_grad, protonet_predict,
+                               protonet_prototypes, prune_head)
 from metafew.network import (Layer, ModelParams, apply_adam, forward,
                              grad_through_adaptation, init_adam, init_mlp,
                              params_flatten, params_mean, xent_loss_grad)
@@ -43,7 +43,7 @@ def mixture():
 def test_meta_train_zero_iterations_returns_init(mixture):
     cfg = MetaConfig(meta_iterations=0, n_way=3, seed=1)
     init = build_maml_model(mixture.d_in, 3, np.random.default_rng(0))
-    out = maml_meta_train(cfg, iter(()), init)
+    out = meta_train(cfg, iter(()), init)
     assert np.array_equal(params_flatten(out), params_flatten(init))
 
 def test_zero_inner_lr_reduces_to_adam_on_query_loss(mixture):
@@ -52,7 +52,7 @@ def test_zero_inner_lr_reduces_to_adam_on_query_loss(mixture):
     cfg = MetaConfig(meta_iterations=4, task_batch_size=1, inner_lr=0.0,
                      n_way=3, outer_lr=0.01)
     init = build_maml_model(3, 3, np.random.default_rng(1))
-    got = maml_meta_train(cfg, iter([task] * 4), init)
+    got = meta_train(cfg, iter([task] * 4), init)
     # reference: plain Adam on the query batch
     ref = init.copy()
     state = init_adam(ref, 0.01)
@@ -68,7 +68,7 @@ def test_meta_training_improves_over_init(mixture):
     cfg = MetaConfig(meta_iterations=120, task_batch_size=4, n_way=5,
                      inner_steps_train=3, seed=114)
     init = build_maml_model(mixture.d_in, 5, np.random.default_rng(2))
-    trained = maml_meta_train(cfg, make_task_stream(stream_cfg, parts, mixture), init)
+    trained = meta_train(cfg, make_task_stream(stream_cfg, parts, mixture), init)
 
     eval_cfg = TaskStreamConfig(tasks=60, n_way=5, k_shot=1, q_queries=5, seed=115)
     eval_tasks = list(make_supervised_task_stream(eval_cfg, mixture))
@@ -90,7 +90,7 @@ def test_meta_train_logs_and_determinism(mixture):
                                       seed=117)
         cfg = MetaConfig(meta_iterations=10, task_batch_size=2, n_way=3, seed=118)
         init = build_maml_model(mixture.d_in, 3, np.random.default_rng(3))
-        out = maml_meta_train(cfg, make_task_stream(stream_cfg, parts, mixture),
+        out = meta_train(cfg, make_task_stream(stream_cfg, parts, mixture),
                               init, log_cb=lambda it, loss, val: rows.append((it, loss)))
         return out, rows
     a, rows_a = run()
@@ -109,7 +109,7 @@ def test_stacked_meta_train_equals_per_task_reference(mixture, first_order):
                      inner_steps_train=3, first_order=first_order, seed=118)
     init = build_maml_model(mixture.d_in, 3, np.random.default_rng(3))
     rows = []
-    got = maml_meta_train(cfg, make_task_stream(stream_cfg, parts, mixture), init,
+    got = meta_train(cfg, make_task_stream(stream_cfg, parts, mixture), init,
                           log_cb=lambda it, loss, val: rows.append(loss))
     # reference: one 2-d meta-gradient per task, averaged as a list
     tasks = list(make_task_stream(stream_cfg, parts, mixture))
@@ -133,7 +133,7 @@ def test_meta_batch_of_unequal_task_shapes_is_rejected():
     cfg = MetaConfig(meta_iterations=1, task_batch_size=2, n_way=2)
     init = build_maml_model(3, 2, np.random.default_rng(4))
     with pytest.raises(ShapeError, match="meta-iteration 0"):
-        maml_meta_train(cfg, iter(tasks), init)
+        meta_train(cfg, iter(tasks), init)
 
 def test_adapt_zero_steps_returns_same_params():
     rng = np.random.default_rng(119)
@@ -278,10 +278,57 @@ def test_protonet_gradient_matches_finite_differences(seed):
     fd = finite_difference_grad(loss_fn, net)
     assert relative_error(grads, fd) <= 1e-4
 
+@pytest.mark.parametrize("k,q", [(1, 15), (5, 5)])
+@pytest.mark.parametrize("B", [1, 3, 8])
+def test_stacked_protonet_equals_per_task_calls(B, k, q):
+    rng = np.random.default_rng(140)
+    tasks = [toy_task(rng, n_way=5, k=k, q=q, d=3, separation=1.0) for _ in range(B)]
+    net = build_protonet_model(3, np.random.default_rng(141), hidden=(8, 6))
+    stacked = stack_tasks(tasks)
+    losses, grads = protonet_loss_grad(net, stacked)
+    assert losses.shape == (B,) and grads.task_shape == (B,)
+    pred = protonet_predict(net, stacked)
+    for i, task in enumerate(tasks):
+        loss, ref = protonet_loss_grad(net, task)
+        assert losses[i] == loss
+        for got, want in zip(grads.layers, ref.layers):
+            assert got.weights[i].tobytes() == want.weights.tobytes()
+            assert got.bias[i].tobytes() == want.bias.tobytes()
+        assert np.array_equal(pred[i], protonet_predict(net, task))
+
+def test_protonet_meta_train_equals_per_task_reference(mixture):
+    parts = generate_partitions(mixture, 2, 8, seed=142)
+    stream_cfg = TaskStreamConfig(tasks=3 * 3, n_way=3, k_shot=1, q_queries=4,
+                                  seed=143)
+    cfg = MetaConfig(learner="protonet", meta_iterations=3, task_batch_size=3,
+                     n_way=3, q_queries=4, seed=144)
+    init = build_protonet_model(mixture.d_in, np.random.default_rng(8), hidden=(8,))
+    rows = []
+    got = meta_train(cfg, make_task_stream(stream_cfg, parts, mixture), init,
+                     log_cb=lambda it, loss, val: rows.append(loss))
+    # reference: one 2-d loss gradient per task, averaged as a list
+    tasks = list(make_task_stream(stream_cfg, parts, mixture))
+    ref, state, ref_rows = init.copy(), init_adam(init, cfg.outer_lr), []
+    for it in range(cfg.meta_iterations):
+        losses, grads = zip(*(protonet_loss_grad(ref, t)
+                              for t in tasks[it * 3:(it + 1) * 3]))
+        ref_rows.append(float(np.mean(losses)))
+        ref, state = apply_adam(ref, params_mean(list(grads)), state)
+    assert params_flatten(got).tobytes() == params_flatten(ref).tobytes()
+    assert rows == ref_rows
+
+def test_protonet_batch_of_unequal_task_shapes_is_rejected():
+    rng = np.random.default_rng(145)
+    tasks = [toy_task(rng, n_way=2, k=3), toy_task(rng, n_way=2, k=2)]
+    cfg = MetaConfig(learner="protonet", meta_iterations=1, task_batch_size=2, n_way=2)
+    init = build_protonet_model(3, np.random.default_rng(9), hidden=(4,))
+    with pytest.raises(ShapeError, match="meta-iteration 0"):
+        meta_train(cfg, iter(tasks), init)
+
 def test_protonet_zero_iterations_returns_init(mixture):
     cfg = MetaConfig(learner="protonet", meta_iterations=0, task_batch_size=1, seed=4)
     init = build_protonet_model(mixture.d_in, np.random.default_rng(5))
-    out = protonet_meta_train(cfg, iter(()), init)
+    out = meta_train(cfg, iter(()), init)
     assert np.array_equal(params_flatten(out), params_flatten(init))
 
 def test_protonet_training_beats_chance_and_is_deterministic(mixture):
@@ -292,7 +339,7 @@ def test_protonet_training_beats_chance_and_is_deterministic(mixture):
         cfg = MetaConfig(learner="protonet", meta_iterations=400, task_batch_size=1,
                          n_way=5, seed=133)
         init = build_protonet_model(mixture.d_in, np.random.default_rng(6))
-        return protonet_meta_train(cfg, make_task_stream(stream_cfg, parts, mixture), init)
+        return meta_train(cfg, make_task_stream(stream_cfg, parts, mixture), init)
     trained = run()
     trained2 = run()
     assert params_flatten(trained).tobytes() == params_flatten(trained2).tobytes()
@@ -314,7 +361,7 @@ def test_matched_shot_advantage_shrinks_at_high_shot():
     cfg = MetaConfig(learner="protonet", meta_iterations=600, task_batch_size=1,
                      n_way=5, seed=137)
     init = build_protonet_model(mix.d_in, np.random.default_rng(7))
-    trained = protonet_meta_train(cfg, make_task_stream(stream_cfg, parts, mix), init)
+    trained = meta_train(cfg, make_task_stream(stream_cfg, parts, mix), init)
 
     def gap_at(k_shot):
         eval_cfg = TaskStreamConfig(tasks=120, n_way=5, k_shot=k_shot, q_queries=5,
