@@ -5,8 +5,9 @@ embedding baselines, and CI-reported evaluation."""
 __version__ = "0.1.0"
 
 from .baselines import (LinearModel, MLPModel, cluster_matching_classify,
-                        knn_classify, linear_fit, linear_predict,
-                        mlp_dropout_fit, mlp_dropout_predict, train_from_scratch)
+                        cluster_membership, knn_classify, linear_fit,
+                        linear_predict, mlp_dropout_fit, mlp_dropout_predict,
+                        train_from_scratch)
 from .data import (DataSet, SplitSpec, load_dataset, pca_whiten, save_dataset,
                    save_dataset_csv, split_dataset, synth_mixture)
 from .errors import (ConfigError, ContractError, DataError, InfeasibleError,
@@ -26,7 +27,8 @@ from .network import (Layer, ModelParams, OptimizerState, apply_adam, apply_sgd,
                       xent_loss_grad)
 from .partition import (Hyperplane, Partition, generate_hyperplane_partitions,
                         generate_partitions, hyperplane_partition, kmeans,
-                        load_partition, partition_by_hyperplanes,
+                        load_partition, nearest_centroids,
+                        partition_by_hyperplanes,
                         partition_from_labels, pixel_partition, random_partition,
                         sample_hyperplanes, save_partition, signed_distance)
 from .tasks import (Task, TaskStreamConfig, eligible_clusters, make_task_stream,

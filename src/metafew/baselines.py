@@ -4,6 +4,7 @@ from scratch."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,33 +12,48 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .metalearn import build_maml_model, sgd_in_place
 from .network import Layer, ModelParams, forward, params_stack, softmax
-from .partition import Partition
+from .partition import Partition, nearest_centroids
 from .tasks import Task
 
 
 def knn_classify(train_embs: np.ndarray, train_labels: np.ndarray,
                  query_embs: np.ndarray, k_nn: int) -> np.ndarray:
     """Plurality vote of the k_nn Euclidean-nearest train points. Vote ties
-    break toward the smaller summed neighbor distance, then the lower label."""
-    x = np.asarray(train_embs, dtype=np.float64)
-    y = np.asarray(train_labels, dtype=np.int64)
+    break toward the smaller summed neighbor distance, then the lower label.
+
+    A (B, n, d) stack with (B, n) labels and (B, m, d) queries classifies B
+    tasks in one pass; each task gets the predictions of its own 2-d call."""
+    x, y, stack = _stacked_inputs(train_embs, train_labels)
     q = np.asarray(query_embs, dtype=np.float64)
-    if x.shape[0] == 0:
+    if q.shape[:-2] != stack or q.shape[-1] != x.shape[-1]:
+        raise ShapeError(f"queries {q.shape} vs train inputs {x.shape}")
+    q = q.reshape(len(x), *q.shape[-2:])
+    if x.shape[-2] == 0:
         raise DataError("empty train set")
-    if not 1 <= k_nn <= x.shape[0]:
-        raise ConfigError(f"k_nn={k_nn} outside [1, {x.shape[0]}]")
-    d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-    out = np.empty(q.shape[0], dtype=np.int64)
-    for i in range(q.shape[0]):
-        order = np.lexsort((np.arange(x.shape[0]), d2[i]))[:k_nn]
-        votes = np.bincount(y[order])
-        best = votes.max()
-        tied = np.flatnonzero(votes == best)
-        if tied.size > 1:
-            sums = np.array([d2[i][order][y[order] == lab].sum() for lab in tied])
-            tied = tied[sums == sums.min()]
-        out[i] = tied.min()
-    return out
+    if not 1 <= k_nn <= x.shape[-2]:
+        raise ConfigError(f"k_nn={k_nn} outside [1, {x.shape[-2]}]")
+    # squared in place: the (B, m, n, d) difference is the largest temporary
+    diff = q[..., :, None, :] - x[..., None, :, :]
+    d2 = np.square(diff, out=diff).sum(axis=-1)
+    # a stable sort orders equally distant neighbors by train index
+    order = np.argsort(d2, axis=-1, kind="stable")[..., :k_nn]
+    near_d2 = np.take_along_axis(d2, order, axis=-1)
+    near_y = np.take_along_axis(y[:, None, :], order, axis=-1)
+    is_label = near_y[..., None] == np.arange(y.max() + 1)  # (B, m, k_nn, labels)
+    votes = is_label.sum(axis=-2)
+    tied = votes == votes.max(axis=-1, keepdims=True)
+    # each label's summed neighbor distance, added in neighbor order: the
+    # bits of a 1-d numpy sum of fewer than 8 values
+    sums = np.zeros(votes.shape)
+    for j in range(k_nn):
+        sums += np.where(is_label[..., j, :], near_d2[..., j, None], 0.0)
+    long_ties = (tied.sum(axis=-1) > 1) & (votes.max(axis=-1) >= 8)
+    for b, i in zip(*np.nonzero(long_ties)):  # longer numpy sums are pairwise
+        for lab in np.flatnonzero(tied[b, i]):
+            sums[b, i, lab] = near_d2[b, i][is_label[b, i, :, lab]].sum()
+    sums[~tied] = np.inf
+    best = tied & (sums == sums.min(axis=-1, keepdims=True))
+    return _unstack(best.argmax(axis=-1), stack)  # the lowest such label
 
 
 @dataclass
@@ -96,7 +112,9 @@ def _stacked_inputs(train_embs, train_labels):
     y = np.asarray(train_labels, dtype=np.int64)
     if x.ndim not in (2, 3) or y.shape != x.shape[:-1]:
         raise ShapeError(f"train inputs {x.shape} vs train labels {y.shape}")
-    return x.reshape(-1, *x.shape[-2:]), y.reshape(-1, y.shape[-1]), x.shape[:-2]
+    stack = x.shape[:-2]
+    tasks = math.prod(stack)
+    return x.reshape(tasks, *x.shape[-2:]), y.reshape(tasks, y.shape[-1]), stack
 
 
 def _unstack(a: np.ndarray, stack: tuple) -> np.ndarray:
@@ -196,65 +214,65 @@ def mlp_dropout_predict(model: MLPModel, query_embs: np.ndarray) -> np.ndarray:
     return forward(model.params, np.asarray(query_embs, dtype=np.float64)).argmax(axis=-1)
 
 
-def cluster_matching_classify(partition: Partition, centroids: np.ndarray | None,
-                              task: Task, train_embs: np.ndarray | None = None,
-                              query_embs: np.ndarray | None = None) -> np.ndarray:
-    """Label clusters by plurality vote of the task's train shots, then
-    classify queries by their cluster's label.
+def cluster_membership(partition: Partition, embeddings: np.ndarray | None) -> np.ndarray:
+    """The cluster of every dataset row, from the rows' embeddings: a row's
+    stored assignment when it has one, else its nearest centroid under the
+    partition's metric (the k-means rule, see nearest_centroids), else -1
+    when the partition has no centroids."""
+    if embeddings is None:
+        raise DataError("cluster matching needs embeddings but the dataset has none")
+    if len(embeddings) != partition.n:
+        raise DataError(f"partition of {partition.n} points, but the dataset has "
+                        f"{len(embeddings)} rows")
+    table = partition.assignment.copy()
+    free = np.flatnonzero(table < 0)
+    if free.size and partition.centroids is not None:
+        table[free] = nearest_centroids(embeddings[free], partition.centroids,
+                                        partition.scaling)
+    return table
 
-    Points still indexed by the partition use their stored assignment;
-    anything else maps to the nearest centroid under the partition's
-    metric. Queries landing in an unlabeled cluster take the label of the
-    closest labeled cluster (Euclidean between centroids).
-    """
-    if centroids is None:
-        centroids = partition.centroids
-    if train_embs is None or query_embs is None:
-        if task.input_repr != "embedding":
-            raise DataError("cluster matching needs embeddings; pass train_embs/"
-                            "query_embs or build the task with input_repr='embedding'")
-        train_embs = task.train_x if train_embs is None else train_embs
-        query_embs = task.query_x if query_embs is None else query_embs
 
-    scale = np.ones(train_embs.shape[1]) if partition.scaling is None else partition.scaling
+def cluster_matching_classify(partition: Partition, membership: np.ndarray,
+                              task: Task) -> np.ndarray:
+    """Label clusters by plurality vote of the task's train shots (a tie
+    goes to the lower label), then classify queries by their cluster's
+    label. membership holds the cluster of every dataset row, as
+    cluster_membership gives it; shots in no cluster do not vote. A query
+    in an unlabeled cluster takes the label of the closest labeled cluster,
+    by Euclidean distance between centroids (the lower cluster on a tie).
 
-    def membership(indices, embs):
-        out = np.full(len(indices), -1, dtype=np.int64)
-        for i, idx in enumerate(indices):
-            if 0 <= idx < partition.n and partition.assignment[idx] >= 0:
-                out[i] = partition.assignment[idx]
-            elif centroids is not None:
-                d2 = (scale * (centroids - embs[i]) ** 2).sum(axis=1)
-                out[i] = int(d2.argmin())
-        return out
-
-    train_clusters = membership(task.train_indices, train_embs)
-    shot_labels = task.train_labels_int()
-    votes = np.zeros((partition.num_clusters, task.n_way), dtype=np.int64)
-    for c, lab in zip(train_clusters, shot_labels):
-        if c >= 0:
-            votes[c, lab] += 1
-    labeled = np.flatnonzero(votes.sum(axis=1) > 0)
-    if labeled.size == 0:
+    A stacked task (see stack_tasks) classifies its B tasks in one pass and
+    returns one prediction row per task, each equal to its own call's."""
+    stack = task.train_indices.shape[:-1]
+    tasks = math.prod(stack)
+    train_c = membership[task.train_indices].reshape(tasks, -1)
+    query_c = membership[task.query_indices].reshape(tasks, -1)
+    shots = task.train_labels_int().reshape(train_c.shape)
+    k, n_way = partition.num_clusters, task.n_way
+    slot = (np.arange(tasks)[:, None] * k + train_c) * n_way + shots
+    votes = np.bincount(slot[train_c >= 0], minlength=tasks * k * n_way)
+    votes = votes.reshape(tasks, k, n_way)
+    labeled = votes.any(axis=-1)
+    if not labeled.any(axis=-1).all():
         raise DataError("no labeled clusters: every train shot was discarded")
-    cluster_label = np.full(partition.num_clusters, -1, dtype=np.int64)
-    cluster_label[labeled] = votes[labeled].argmax(axis=1)  # ties -> lower label
-
-    query_clusters = membership(task.query_indices, query_embs)
-    out = np.empty(len(query_clusters), dtype=np.int64)
-    for i, c in enumerate(query_clusters):
-        if c >= 0 and cluster_label[c] >= 0:
-            out[i] = cluster_label[c]
-            continue
-        if centroids is None:
-            raise DataError("query in unlabeled cluster and no centroids to fall "
-                            "back on")
-        if c >= 0:
-            dc = ((centroids[labeled] - centroids[c]) ** 2).sum(axis=1)
-        else:  # discarded/unknown point: nearest labeled centroid directly
-            dc = (scale * (centroids[labeled] - query_embs[i]) ** 2).sum(axis=1)
-        out[i] = cluster_label[labeled[int(dc.argmin())]]
-    return out
+    cluster_label = np.where(labeled, votes.argmax(axis=-1), -1)
+    rows = np.arange(tasks)[:, None]
+    out = np.where(query_c >= 0, cluster_label[rows, query_c], -1)
+    b, i = np.nonzero(out < 0)
+    if b.size:
+        if partition.centroids is None or (query_c[b, i] < 0).any():
+            raise DataError("query outside every labeled cluster and no centroid "
+                            "to fall back on")
+        # the labeled clusters of a task are the clusters of its kept shots
+        cand = train_c[b]
+        cent = partition.centroids
+        diff = cent[cand]  # a fresh gather, so updated in place
+        diff -= cent[query_c[b, i]][:, None, :]
+        d2 = np.square(diff, out=diff).sum(axis=-1)
+        d2[cand < 0] = np.inf
+        closest = (cand >= 0) & (d2 == d2.min(axis=-1, keepdims=True))
+        out[b, i] = cluster_label[b, np.where(closest, cand, k).min(axis=-1)]
+    return _unstack(out, stack)
 
 
 def train_from_scratch(task: Task, rng: np.random.Generator | list[np.random.Generator],

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .data import (DataSet, SplitSpec, load_dataset, pca_whiten, save_dataset,
-                   split_dataset, synth_mixture)
+                   split_code, split_dataset, synth_mixture)
 from .errors import ConfigError, DataError, MetafewError, NumericError
 from .evaluation import (compare, evaluate, format_comparison, read_report_csv,
                          task_set_fingerprint, write_comparison_csv,
@@ -124,7 +124,8 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "n_way": (int, 5, "ways"),
         "k_shot": (int, 1, "shots"),
         "q_queries": (int, 5, "queries per class"),
-        "split": (str, "meta-test", "split tasks draw from"),
+        "split": (str, "meta-test",
+                  "split tasks draw from; a manifest's tasks must match it"),
         "input_repr": (str, "raw", "raw | embedding"),
         "seed": (int, 0, "task + learner seed"),
         "inner_lr": (float, 0.05, "adaptation learning rate (maml/scratch)"),
@@ -423,8 +424,13 @@ def cmd_evaluate(cfg: dict, echo: str) -> int:
     data_path = _require_file(cfg["data"], "dataset")
     ds = load_dataset(data_path)
     if cfg["tasks_manifest"]:
-        tasks = read_task_manifest(_require_file(cfg["tasks_manifest"],
-                                                 "task manifest"), ds)
+        manifest = _require_file(cfg["tasks_manifest"], "task manifest")
+        tasks = read_task_manifest(manifest, ds)
+        split_code(cfg["split"])  # an unknown split is a config error
+        stray = [t.split for t in tasks if t.split != cfg["split"]]
+        if stray:
+            raise DataError(f"{manifest}: holds tasks of split {stray[0]!r}, but "
+                            f"evaluate runs on split {cfg['split']!r}")
     else:
         stream_cfg = TaskStreamConfig(
             tasks=cfg["tasks"], n_way=cfg["n_way"], k_shot=cfg["k_shot"],

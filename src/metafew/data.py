@@ -318,7 +318,10 @@ def _load_emb1(blob: bytes, path) -> tuple[DataSet, str | None]:
             raise DataError(f"{path}: truncated split tags")
         split = np.frombuffer(blob, dtype=np.uint8, count=n, offset=pos).copy()
         pos = end
-    config = read_config_trailer(blob, pos)
+    try:
+        config = read_config_trailer(blob, pos)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return DataSet(raw, embeddings, labels, attributes, split), config
 
 

@@ -36,7 +36,10 @@ def read_config_trailer(blob: bytes, pos: int) -> str | None:
     raw = blob[pos + 8:pos + 8 + length]
     if len(raw) != length or pos + 8 + length != len(blob):
         raise DataError("truncated config trailer")
-    return raw.decode("utf-8")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"config trailer is not UTF-8: {exc}") from None
 
 
 def fmt_float(x: float) -> str:

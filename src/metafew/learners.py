@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import (cluster_matching_classify, knn_classify, linear_fit,
-                        linear_predict, mlp_dropout_fit, mlp_dropout_predict,
-                        train_from_scratch)
+from .baselines import (cluster_matching_classify, cluster_membership, knn_classify,
+                        linear_fit, linear_predict, mlp_dropout_fit,
+                        mlp_dropout_predict, train_from_scratch)
 from .data import DataSet
 from .errors import ConfigError, DataError
-from .evaluation import per_task
 from .metalearn import maml_predict, protonet_predict
 from .network import ModelParams
 from .partition import Partition
@@ -38,9 +37,9 @@ def make_learner(learner_id: str, ds: DataSet, *,
                  hidden: tuple[int, ...] = (64, 64)):
     """Build predict(tasks, rngs) for any learner id the CLI accepts: it
     takes a chunk of equally shaped tasks with one generator each, as
-    evaluate passes them, and returns one prediction array per task. maml,
-    protonet, scratch, linear and mlp fit the whole chunk in one stacked
-    pass; knn and cluster-match predict each task alone."""
+    evaluate passes them, and returns one prediction array per task. Every
+    learner predicts the whole chunk in one stacked pass. cluster-match
+    looks up each dataset row's cluster in a table built here, once."""
     if learner_id == "maml":
         if params is None:
             raise ConfigError("maml learner needs a checkpoint")
@@ -54,12 +53,13 @@ def make_learner(learner_id: str, ds: DataSet, *,
         return lambda tasks, rngs: train_from_scratch(
             stack_tasks(tasks), rngs, hidden=hidden, steps=adapt_steps, lr=inner_lr)
     if learner_id == "knn":
-        def predict_knn(task, rng):
-            tr, qu = _embeddings_for(ds, task)
+        def predict_knn(tasks, rngs):
+            stacked = stack_tasks(tasks)
+            tr, qu = _embeddings_for(ds, stacked)
             # default: majority vote over min(K, 5) neighbors
-            k = min(task.k_shot, 5) if k_nn is None else k_nn
-            return knn_classify(tr, task.train_labels_int(), qu, k)
-        return per_task(predict_knn)
+            k = min(stacked.k_shot, 5) if k_nn is None else k_nn
+            return knn_classify(tr, stacked.train_labels_int(), qu, k)
+        return predict_knn
     if learner_id == "linear":
         def predict_linear(tasks, rngs):
             stacked = stack_tasks(tasks)
@@ -80,9 +80,7 @@ def make_learner(learner_id: str, ds: DataSet, *,
     if learner_id == "cluster-match":
         if partition is None:
             raise ConfigError("cluster-match learner needs a partition")
-        def predict_cm(task, rng):
-            tr, qu = _embeddings_for(ds, task)
-            return cluster_matching_classify(partition, partition.centroids, task,
-                                             train_embs=tr, query_embs=qu)
-        return per_task(predict_cm)
+        membership = cluster_membership(partition, ds.embeddings)
+        return lambda tasks, rngs: cluster_matching_classify(
+            partition, membership, stack_tasks(tasks))
     raise ConfigError(f"unknown learner {learner_id!r}; expected one of {LEARNER_IDS}")

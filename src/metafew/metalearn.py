@@ -11,10 +11,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .ioutil import stable_rng
-from .network import (Layer, ModelParams, _mean_xent, apply_adam, apply_sgd,
-                      backprop_from_output, forward, grad_through_adaptation,
-                      init_adam, init_mlp, log_softmax, params_allfinite,
-                      params_task_mean, xent_loss_grad)
+from .network import (Layer, ModelParams, _backward, _forward_cached, _mean_xent,
+                      _xent_loss_grad, apply_adam, apply_sgd, check_onehot,
+                      forward, grad_through_adaptation, init_adam, init_mlp,
+                      log_softmax, params_allfinite, params_task_mean,
+                      xent_loss_grad)
 from .tasks import Task, stack_tasks
 
 DEFAULT_HIDDEN = (64, 64)
@@ -146,8 +147,9 @@ def sgd_in_place(params: ModelParams, task: Task, inner_lr: float,
                  steps: int) -> ModelParams:
     """SGD on the task's train set, updating params, which the caller owns,
     in place; each step has the bits of apply_sgd. Returns params."""
+    y = check_onehot(task.train_y)  # once; the steps skip the check
     for _ in range(steps):
-        _, g = xent_loss_grad(params, task.train_x, task.train_y)
+        _, g = _xent_loss_grad(params, task.train_x, y)
         for layer, grad in zip(params.layers, g.layers):
             grad.weights *= -inner_lr
             grad.bias *= -inner_lr
@@ -208,8 +210,9 @@ def protonet_loss_grad(params: ModelParams,
     set, with exact gradients through both query embeddings and the
     prototype means of the support embeddings. A stacked task gives one
     loss and one gradient per task, each equal to its own 2-d call."""
-    es = protonet_embed(params, task.train_x)
-    eq = protonet_embed(params, task.query_x)
+    pre_s, acts_s = _forward_cached(params, task.train_x)
+    pre_q, acts_q = _forward_cached(params, task.query_x)
+    es, eq = acts_s[-1], acts_q[-1]
     s = task.train_y
     protos = protonet_prototypes(es, s)
     logits = protonet_classify(protos, eq)
@@ -219,8 +222,8 @@ def protonet_loss_grad(params: ModelParams,
     d_eq = -2.0 * (eq * g.sum(axis=-1, keepdims=True) - g @ protos)
     d_protos = 2.0 * (g.swapaxes(-1, -2) @ eq - protos * g.sum(axis=-2)[..., None])
     d_es = s @ (d_protos / s.sum(axis=-2)[..., None])
-    grads_q = backprop_from_output(params, task.query_x, d_eq)
-    grads_s = backprop_from_output(params, task.train_x, d_es)
+    grads_q = _backward(params, pre_q, acts_q, d_eq)
+    grads_s = _backward(params, pre_s, acts_s, d_es)
     total = ModelParams([
         Layer(a.weights + b.weights, a.bias + b.bias, a.activation)
         for a, b in zip(grads_q.layers, grads_s.layers)

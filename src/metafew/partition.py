@@ -221,6 +221,22 @@ def _assign(y, sq_y, centroids):
     return assign, min_d2
 
 
+def nearest_centroids(points: np.ndarray, centroids: np.ndarray,
+                      scaling: np.ndarray | None = None) -> np.ndarray:
+    """Index of each point's nearest centroid under the diagonal metric
+    ||z - mu||^2_A, scaling being A's diagonal (all-ones when omitted); a
+    tie goes to the lower index. This is the k-means assignment rule."""
+    points = _check_points(points)
+    centroids = np.asarray(centroids, dtype=np.float64)
+    root = np.sqrt(np.ones(points.shape[1]) if scaling is None
+                   else np.asarray(scaling, dtype=np.float64))
+    if not points.shape[1:] == centroids.shape[1:] == root.shape:
+        raise ShapeError(f"points {points.shape}, centroids {centroids.shape} and "
+                         f"scaling {root.shape} disagree in width")
+    y = points * root
+    return _assign(y, (y * y).sum(axis=1), centroids * root)[0]
+
+
 def _repair_empty(y, sq_y, centroids, assign, min_d2, k):
     # reseed an empty centroid at the point farthest from its own centroid
     for _ in range(2 * k):

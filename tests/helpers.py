@@ -1,6 +1,7 @@
 """Independent oracles shared by the test suite: central finite
-differences, exhaustive 2-cluster k-means enumeration, and a scalar Adam
-trace. These never call the code paths they check."""
+differences, exhaustive 2-cluster k-means enumeration, a scalar Adam
+trace, and per-query kNN and per-point cluster matching. These never call
+the code paths they check."""
 
 import itertools
 
@@ -74,4 +75,63 @@ def scalar_adam_trace(g_sequence, w0=0.0, lr=0.001, beta1=0.9, beta2=0.999,
         v_hat = v / (1 - beta2 ** t)
         w = w - lr * m_hat / (v_hat ** 0.5 + eps)
         out.append(w)
+    return out
+
+
+def reference_knn(train_embs, train_labels, query_embs, k_nn):
+    """Per-query kNN: plurality vote of the k_nn nearest train points (ties
+    by train index), vote ties to the smaller summed distance, then the
+    lower label."""
+    x, y, q = train_embs, train_labels, query_embs
+    d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    out = np.empty(q.shape[0], dtype=np.int64)
+    for i in range(q.shape[0]):
+        order = np.lexsort((np.arange(x.shape[0]), d2[i]))[:k_nn]
+        votes = np.bincount(y[order])
+        tied = np.flatnonzero(votes == votes.max())
+        if tied.size > 1:
+            sums = np.array([d2[i][order][y[order] == lab].sum() for lab in tied])
+            tied = tied[sums == sums.min()]
+        out[i] = tied.min()
+    return out
+
+
+def reference_cluster_matching(partition, task, embeddings):
+    """Per-point cluster matching of one 2-d task over dataset embeddings:
+    an assigned row keeps its cluster, any other row goes to its nearest
+    centroid by the element-wise scaled distance; a query in an unlabeled
+    cluster takes the closest labeled centroid's label."""
+    centroids = partition.centroids
+    scale = (np.ones(embeddings.shape[1]) if partition.scaling is None
+             else partition.scaling)
+
+    def membership(indices):
+        out = np.full(len(indices), -1, dtype=np.int64)
+        for i, idx in enumerate(indices):
+            if partition.assignment[idx] >= 0:
+                out[i] = partition.assignment[idx]
+            elif centroids is not None:
+                d2 = (scale * (centroids - embeddings[idx]) ** 2).sum(axis=1)
+                out[i] = int(d2.argmin())
+        return out
+
+    votes = np.zeros((partition.num_clusters, task.n_way), dtype=np.int64)
+    for c, lab in zip(membership(task.train_indices), task.train_labels_int()):
+        if c >= 0:
+            votes[c, lab] += 1
+    labeled = np.flatnonzero(votes.sum(axis=1) > 0)
+    if labeled.size == 0:
+        raise ValueError("no labeled clusters")
+    cluster_label = np.full(partition.num_clusters, -1, dtype=np.int64)
+    cluster_label[labeled] = votes[labeled].argmax(axis=1)
+    query_clusters = membership(task.query_indices)
+    out = np.empty(len(query_clusters), dtype=np.int64)
+    for i, c in enumerate(query_clusters):
+        if c >= 0 and cluster_label[c] >= 0:
+            out[i] = cluster_label[c]
+            continue
+        if centroids is None or c < 0:
+            raise ValueError("no centroid to fall back on")
+        dc = ((centroids[labeled] - centroids[c]) ** 2).sum(axis=1)
+        out[i] = cluster_label[labeled[int(dc.argmin())]]
     return out

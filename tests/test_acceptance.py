@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_two_means, finite_difference_grad, relative_error
-from metafew.baselines import cluster_matching_classify
+from metafew.baselines import cluster_matching_classify, cluster_membership
 from metafew.cli import main
 from metafew.data import SplitSpec, split_dataset, synth_mixture
 from metafew.evaluation import evaluate, per_task, read_report_csv
@@ -286,12 +286,13 @@ def test_criterion_5_cluster_matching_sanity():
         rows = ds.split_indices("meta-train")
         part = kmeans(ds.embeddings[rows], 10, seed=50001, plusplus=True,
                       restarts=8)
+        membership = cluster_membership(part, ds.embeddings[rows])
         rng = np.random.default_rng(50002)
         accs = []
         for _ in range(200):
             task = sample_supervised_task(ds, "meta-train", 10, 1, 5, rng,
                                           input_repr="embedding")
-            pred = cluster_matching_classify(part, part.centroids, task)
+            pred = cluster_matching_classify(part, membership, task)
             accs.append(float((pred == task.query_labels_int()).mean()))
         assert float(np.mean(accs)) >= 0.95
         assert time.time() - start < 60.0

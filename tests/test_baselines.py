@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from metafew.baselines import (cluster_matching_classify, knn_classify,
-                               linear_fit, linear_predict, mlp_dropout_fit,
-                               mlp_dropout_predict, train_from_scratch)
-from metafew.data import synth_mixture
+from helpers import reference_cluster_matching, reference_knn
+from metafew.baselines import (cluster_matching_classify, cluster_membership,
+                               knn_classify, linear_fit, linear_predict,
+                               mlp_dropout_fit, mlp_dropout_predict,
+                               train_from_scratch)
+from metafew.data import SplitSpec, split_dataset, synth_mixture
 from metafew.errors import ConfigError, DataError, NumericError, ShapeError
-from metafew.partition import (Partition, kmeans, partition_from_labels)
+from metafew.learners import make_learner
+from metafew.partition import (Partition, generate_partitions, kmeans,
+                               nearest_centroids, partition_from_labels)
 from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
                            sample_supervised_task, stack_tasks)
 from test_metalearn import toy_task
@@ -55,6 +59,50 @@ def test_knn_validates_inputs():
         knn_classify(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros((1, 2)), 1)
     with pytest.raises(ConfigError):
         knn_classify(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros((1, 2)), 5)
+    with pytest.raises(ShapeError):
+        knn_classify(np.zeros((2, 3, 2)), np.zeros((2, 3), dtype=int),
+                     np.zeros((3, 1, 2)), 1)
+
+def test_knn_tie_of_eight_votes_each_sums_like_numpy():
+    # 16 neighbors, 8 per label: numpy sums 8 values pairwise, not in
+    # neighbor order, and here the two orders disagree on the smaller sum
+    a = np.array([0.728, 0.781, 1.061, 1.129, 1.136, 1.244, 1.342, 1.379])
+    b = a.copy()
+    b[1], b[5] = np.nextafter(b[1], 2.0), np.nextafter(b[5], 0.0)
+    x = np.concatenate([a, b])[:, None]
+    y = np.repeat([0, 1], 8)
+    q = np.zeros((1, 1))
+    assert reference_knn(x, y, q, 16)[0] == 1
+    assert knn_classify(x, y, q, 16)[0] == 1
+    assert knn_classify(x[None], y[None], q[None], 16)[0, 0] == 1
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+@pytest.mark.parametrize("k_nn", [1, 3, 5, 7, 8, 16])
+@pytest.mark.parametrize("grid", [True, False])
+def test_stacked_knn_equals_per_query_reference(B, k_nn, grid):
+    # a small integer grid gives equally distant neighbors; 16 neighbors of
+    # two balanced labels always tie, with 8 distances summed per label
+    rng = np.random.default_rng(100 + k_nn)
+    labels = 2 if k_nn >= 8 else 3
+    y = np.stack([rng.permutation(np.arange(16) % labels) for _ in range(B)])
+    if grid:
+        x = rng.integers(-2, 3, (B, 16, 2)).astype(float)
+        q = rng.integers(-2, 3, (B, 12, 2)).astype(float)
+    else:
+        x, q = rng.standard_normal((B, 16, 3)), rng.standard_normal((B, 12, 3))
+    got = knn_classify(x, y, q, k_nn)
+    assert got.shape == (B, 12)
+    ties = 0
+    for b in range(B):
+        want = reference_knn(x[b], y[b], q[b], k_nn)
+        assert np.array_equal(got[b], want)
+        assert np.array_equal(knn_classify(x[b], y[b], q[b], k_nn), want)
+        for i in range(12):
+            d2 = ((x[b] - q[b, i]) ** 2).sum(axis=1)
+            votes = np.bincount(y[b][np.argsort(d2, kind="stable")[:k_nn]])
+            ties += (votes == votes.max()).sum() > 1
+    if k_nn > 1:
+        assert ties > 0
 
 
 # -- linear classifier ------------------------------------------------------------
@@ -135,32 +183,38 @@ def separable():
 
 def test_supervised_partition_matching_is_perfect(separable):
     part = partition_from_labels(separable)
+    membership = cluster_membership(part, separable.embeddings)
     rng = np.random.default_rng(21)
     for _ in range(10):
         task = sample_supervised_task(separable, "meta-train", 5, 1, 5, rng,
                                       input_repr="embedding")
-        pred = cluster_matching_classify(part, part.centroids, task)
+        pred = cluster_matching_classify(part, membership, task)
         assert np.array_equal(pred, task.query_labels_int())
 
 def test_query_in_unlabeled_cluster_falls_through_to_nearest_labeled():
     # three clusters; train shots label clusters 0 and 2 only; cluster 1's
-    # centroid is nearer to cluster 0's
-    assignment = np.array([0, 0, 1, 1, 2, 2])
+    # centroid is nearer to cluster 0's; row 6 is in no cluster
+    assignment = np.array([0, 0, 1, 1, 2, 2, -1])
     clusters = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
     centroids = np.array([[0.0], [1.0], [5.0]])
     part = Partition(assignment=assignment, clusters=clusters, centroids=centroids,
                      provenance="kmeans")
+    embeddings = np.array([[0.0], [0.0], [1.0], [1.0], [5.0], [5.0], [4.9]])
+    membership = cluster_membership(part, embeddings)
+    assert np.array_equal(membership, [0, 0, 1, 1, 2, 2, 2])
     task = toy_task(np.random.default_rng(22), n_way=2, k=1, q=1, d=1)
     task.train_indices = np.array([0, 4])   # clusters 0 and 2
-    task.query_indices = np.array([2, 100])  # cluster 1, and an unknown point
-    task.train_x = centroids[[0, 2]]
-    task.query_x = np.array([[1.0], [4.9]])
-    task.input_repr = "embedding"
+    task.query_indices = np.array([2, 6])   # cluster 1, and the unassigned row
     task.train_y = np.eye(2)
     task.query_y = np.eye(2)
-    pred = cluster_matching_classify(part, centroids, task)
+    pred = cluster_matching_classify(part, membership, task)
     assert pred[0] == 0  # unlabeled cluster 1 -> nearest labeled centroid 0
-    assert pred[1] == 1  # unknown point -> nearest centroid 2 -> label 1
+    assert pred[1] == 1  # unassigned row -> nearest centroid 2 -> label 1
+    # labeled centroids equally far from cluster 1: the lower cluster wins,
+    # whichever shot comes first
+    part.centroids = np.array([[0.0], [1.0], [2.0]])
+    task.train_indices = np.array([4, 0])   # clusters 2 and 0
+    assert cluster_matching_classify(part, membership, task)[0] == 1
 
 def test_all_shots_discarded_is_an_error():
     part = Partition(assignment=np.array([-1, -1, 0, 0]),
@@ -169,22 +223,118 @@ def test_all_shots_discarded_is_an_error():
     task = toy_task(np.random.default_rng(23), n_way=2, k=1, q=1, d=1)
     task.train_indices = np.array([0, 1])
     task.query_indices = np.array([2, 3])
-    task.input_repr = "embedding"
+    membership = cluster_membership(part, np.zeros((4, 1)))
     with pytest.raises(DataError, match="labeled"):
-        cluster_matching_classify(part, None, task)
+        cluster_matching_classify(part, membership, task)
 
 def test_matching_high_accuracy_with_true_cluster_count(separable):
     rows = separable.split_indices("meta-train")
     part = kmeans(separable.embeddings[rows], 10, seed=24, plusplus=True,
                   restarts=8)
+    membership = cluster_membership(part, separable.embeddings[rows])
     rng = np.random.default_rng(25)
     accs = []
     for _ in range(30):
         task = sample_supervised_task(separable, "meta-train", 10, 1, 5, rng,
                                       input_repr="embedding")
-        pred = cluster_matching_classify(part, part.centroids, task)
+        pred = cluster_matching_classify(part, membership, task)
         accs.append((pred == task.query_labels_int()).mean())
     assert np.mean(accs) >= 0.95
+
+
+@pytest.fixture(scope="module")
+def split_mixture():
+    """Meta-train rows are clustered; the other splits' rows are in no
+    cluster and go to their nearest centroid."""
+    ds = synth_mixture(12, 15, 5, 4, noise=0.4, seed=30)
+    return split_dataset(ds, SplitSpec("by_fraction", fractions=(0.6, 0.1, 0.3)),
+                         np.random.default_rng(31))
+
+@pytest.fixture(scope="module")
+def split_kmeans(split_mixture):
+    return generate_partitions(split_mixture, 1, 20, seed=32)[0]
+
+def split_tasks(ds, split, count, k_shot=1, seed=33):
+    cfg = TaskStreamConfig(tasks=count, n_way=3, k_shot=k_shot, q_queries=4,
+                           seed=seed, split=split, input_repr="embedding")
+    return list(make_supervised_task_stream(cfg, ds))
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+@pytest.mark.parametrize("split", ["meta-train", "meta-test"])
+def test_stacked_cluster_matching_equals_per_point_reference(
+        split_mixture, split_kmeans, B, split):
+    ds, part = split_mixture, split_kmeans
+    tasks = split_tasks(ds, split, B)
+    membership = cluster_membership(part, ds.embeddings)
+    got = cluster_matching_classify(part, membership, stack_tasks(tasks))
+    assert got.shape == (B, 12)
+    for task, row in zip(tasks, got):
+        want = reference_cluster_matching(part, task, ds.embeddings)
+        assert np.array_equal(row, want)
+        assert np.array_equal(cluster_matching_classify(part, membership, task), want)
+    if split == "meta-test":
+        assert (part.assignment[tasks[0].query_indices] < 0).all()
+    fallbacks = sum(np.isin(membership[t.query_indices],
+                            membership[t.train_indices], invert=True).sum()
+                    for t in tasks)
+    assert fallbacks > 0  # queries in unlabeled clusters
+
+def test_stacked_cluster_matching_without_centroids(split_mixture):
+    ds = split_mixture
+    part = partition_from_labels(ds, "meta-train")
+    part.centroids = None
+    membership = cluster_membership(part, ds.embeddings)
+    assert np.array_equal(membership, part.assignment)
+    tasks = split_tasks(ds, "meta-train", 3, k_shot=2)
+    # a shot in no cluster does not vote; its class keeps its other shot
+    tasks[1].train_indices = tasks[1].train_indices.copy()
+    tasks[1].train_indices[0] = ds.split_indices("meta-test")[0]
+    got = cluster_matching_classify(part, membership, stack_tasks(tasks))
+    for task, row in zip(tasks, got):
+        assert np.array_equal(row, reference_cluster_matching(part, task, ds.embeddings))
+        assert np.array_equal(row, task.query_labels_int())
+    # a query in no cluster has no centroid to fall back on
+    tasks[2].query_indices = tasks[2].query_indices.copy()
+    tasks[2].query_indices[0] = ds.split_indices("meta-test")[0]
+    with pytest.raises(DataError, match="fall back"):
+        cluster_matching_classify(part, membership, stack_tasks(tasks))
+
+def test_one_task_of_a_stack_with_every_shot_discarded_is_an_error(
+        split_mixture, split_kmeans):
+    ds = split_mixture
+    part = Partition(split_kmeans.assignment, split_kmeans.clusters,
+                     provenance="hyperplane")
+    tasks = split_tasks(ds, "meta-train", 3)
+    tasks[1].train_indices = ds.split_indices("meta-test")[:3]
+    membership = cluster_membership(part, ds.embeddings)
+    with pytest.raises(DataError, match="labeled"):
+        cluster_matching_classify(part, membership, stack_tasks(tasks))
+
+def test_partition_of_another_size_is_a_data_error(split_mixture, split_kmeans):
+    ds = split_mixture
+    with pytest.raises(DataError, match="rows"):
+        cluster_membership(split_kmeans, ds.embeddings[:-1])
+    with pytest.raises(DataError, match="rows"):
+        make_learner("cluster-match", synth_mixture(3, 5, 5, 4, 0.1, seed=34),
+                     partition=split_kmeans)
+
+def test_nearest_centroids_equals_brute_force_argmin():
+    rng = np.random.default_rng(35)
+    points = rng.standard_normal((300, 6))
+    centroids = rng.standard_normal((70, 6))
+    centroids[50] = centroids[20]  # a tie goes to the lower index
+    points[:5] = centroids[20]
+    scaling = 1.0 - rng.random(6)
+    got = nearest_centroids(points, centroids, scaling)
+    brute = (scaling * (points[:, None, :] - centroids[None]) ** 2).sum(axis=-1)
+    assert np.array_equal(got, brute.argmin(axis=1))
+    assert (got[:5] == 20).all()
+    plain = ((points[:, None, :] - centroids[None]) ** 2).sum(axis=-1)
+    assert np.array_equal(nearest_centroids(points, centroids), plain.argmin(axis=1))
+    with pytest.raises(ShapeError):
+        nearest_centroids(points, centroids[:, :5])
+    with pytest.raises(ShapeError):
+        nearest_centroids(points, centroids, scaling[:5])
 
 
 # -- training from scratch --------------------------------------------------------------

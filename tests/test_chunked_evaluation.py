@@ -12,6 +12,7 @@ import pytest
 
 import metafew
 from metafew import evaluation
+from helpers import reference_cluster_matching, reference_knn
 from metafew.baselines import (linear_fit, linear_predict, mlp_dropout_fit,
                                mlp_dropout_predict, train_from_scratch)
 from metafew.data import synth_mixture
@@ -49,10 +50,14 @@ def models(ds):
             "protonet": build_protonet_model(ds.d_in, rng, hidden=(8,))}
 
 
+def cluster_partition(ds):
+    return kmeans(ds.embeddings, 8, seed=154)
+
+
 @pytest.fixture(scope="module")
 def learners(ds):
     params = models(ds)
-    part = kmeans(ds.embeddings, 8, seed=154)
+    part = cluster_partition(ds)
     return {lid: make_learner(lid, ds, params=params.get(lid), partition=part, **SMALL)
             for lid in LEARNER_IDS}
 
@@ -88,10 +93,18 @@ def two_d_reference(learner_id, ds, params):
                                                           steps=SMALL["adapt_steps"]))
     if learner_id == "protonet":
         return per_task(lambda t, rng: protonet_predict(params, t))
+    if learner_id == "knn":
+        return per_task(lambda t, rng: reference_knn(
+            emb(t.train_indices), t.train_labels_int(), emb(t.query_indices),
+            min(t.k_shot, 5)))
+    if learner_id == "cluster-match":
+        part = cluster_partition(ds)
+        return per_task(lambda t, rng: reference_cluster_matching(part, t, ds.embeddings))
     return per_task(lambda t, rng: maml_predict(params, t, 0.05, SMALL["adapt_steps"]))
 
 
-@pytest.mark.parametrize("learner_id", ["linear", "mlp", "scratch", "maml", "protonet"])
+@pytest.mark.parametrize("learner_id", ["linear", "mlp", "scratch", "maml", "protonet",
+                                        "knn", "cluster-match"])
 def test_mixed_shape_manifest_matches_per_task_reference(
         learner_id, ds, learners, mixed_tasks, tmp_path, monkeypatch):
     path = tmp_path / "tasks.txt"
@@ -137,18 +150,24 @@ def test_chunk_learners_get_each_task_its_own_generator(mixed_tasks):
 
 # run in an empty directory: relative paths keep the echoed config, and so
 # the report bytes, independent of where it runs
+# the partition clusters the meta-train rows at k=125, so cluster-match
+# assigns every evaluated meta-test row through nearest_centroids
 BITS_SCRIPT = """
 import hashlib, io, contextlib
 from metafew.cli import main
+LEARNERS = ("linear", "mlp", "scratch", "knn", "cluster-match")
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["synth", "out=ds.emb1", "classes=10", "per_class=40", "d_in=24",
                  "d_z=12", "noise=0.8", "seed=3", "split_mode=by_class_counts",
                  "train_classes=5", "test_classes=5"]) == 0
-    for learner in ("linear", "mlp", "scratch"):
+    assert main(["partition", "data=ds.emb1", "out_prefix=km", "method=kmeans",
+                 "k=125", "P=1", "seed=5"]) == 0
+    for learner in LEARNERS:
         assert main(["evaluate", "data=ds.emb1", f"out={learner}.csv",
                      f"learner={learner}", "tasks=8", "n_way=5", "k_shot=20",
-                     "q_queries=5", "seed=4", "mlp_steps=60", "workers=1"]) == 0
-for learner in ("linear", "mlp", "scratch"):
+                     "q_queries=5", "seed=4", "mlp_steps=60", "workers=1",
+                     "partition=km_000.part"]) == 0
+for learner in LEARNERS:
     with open(f"{learner}.csv", "rb") as fh:
         print(learner, hashlib.sha256(fh.read()).hexdigest())
 """
@@ -167,4 +186,4 @@ def test_reports_independent_of_blas_threads(tmp_path):
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         digests.append(run.stdout.split())
-    assert len(digests[0]) == 6 and digests[0] == digests[1]
+    assert len(digests[0]) == 10 and digests[0] == digests[1]

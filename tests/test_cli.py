@@ -301,9 +301,40 @@ def test_evaluate_from_task_manifest(tmp_path, dataset, partitions):
                  "tasks=6", "n_way=3", "k_shot=1", "q_queries=2",
                  "seed=19"]) == 0
     out = tmp_path / "knn.csv"
-    assert main(eval_args(dataset, out, "knn", tasks_manifest=manifest)) == 0
+    # the partitions cluster meta-train rows, so the tasks are meta-train tasks
+    assert main(eval_args(dataset, out, "knn", tasks_manifest=manifest,
+                          split="meta-train")) == 0
     report, _ = read_report_csv(out)
     assert report.task_count == 6
+
+def test_evaluate_manifest_of_another_split_is_exit_3(tmp_path, dataset, partitions,
+                                                      capsys):
+    manifest = tmp_path / "tasks.txt"
+    assert main(["gen-tasks", f"data={dataset}",
+                 f"partitions={partitions}_manifest.txt", f"out={manifest}",
+                 "tasks=3", "n_way=3", "k_shot=1", "q_queries=2", "seed=19"]) == 0
+    capsys.readouterr()
+    assert main(eval_args(dataset, tmp_path / "knn.csv", "knn",
+                          tasks_manifest=manifest)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert str(manifest) in err and "'meta-train'" in err and "'meta-test'" in err
+    assert main(eval_args(dataset, tmp_path / "knn.csv", "knn",
+                          tasks_manifest=manifest, split="test")) == 2
+
+@pytest.mark.parametrize("where", ["length", "text"])
+def test_dataset_cut_inside_its_config_trailer_is_exit_3(tmp_path, dataset, where,
+                                                         capsys):
+    blob = dataset.read_bytes()
+    trailer = blob.rindex(b"CFG1")
+    cut = {"length": trailer + 6, "text": len(blob) - 3}[where]
+    short = tmp_path / "short.emb1"
+    short.write_bytes(blob[:cut])
+    capsys.readouterr()
+    assert main(eval_args(short, tmp_path / "knn.csv", "knn")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(short) in err
+    assert "trailer" in err and "Traceback" not in err
 
 # each edit rewrites one field of the first task line of a manifest over the
 # 72-row dataset: (field index, new value)
