@@ -429,8 +429,10 @@ def cmd_evaluate(cfg: dict, echo: str) -> int:
         split_code(cfg["split"])  # an unknown split is a config error
         stray = [t.split for t in tasks if t.split != cfg["split"]]
         if stray:
-            raise DataError(f"{manifest}: holds tasks of split {stray[0]!r}, but "
-                            f"evaluate runs on split {cfg['split']!r}")
+            held = ("a task with an empty split field" if stray[0] is None
+                    else f"tasks of split {stray[0]!r}")
+            raise DataError(f"{manifest}: holds {held}, but evaluate runs on "
+                            f"split {cfg['split']!r}")
     else:
         stream_cfg = TaskStreamConfig(
             tasks=cfg["tasks"], n_way=cfg["n_way"], k_shot=cfg["k_shot"],

@@ -12,10 +12,9 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .ioutil import stable_rng
 from .network import (Layer, ModelParams, _backward, _forward_cached, _mean_xent,
-                      _xent_loss_grad, apply_adam, apply_sgd, check_onehot,
-                      forward, grad_through_adaptation, init_adam, init_mlp,
-                      log_softmax, params_allfinite, params_task_mean,
-                      xent_loss_grad)
+                      apply_adam, apply_sgd, forward, grad_through_adaptation,
+                      init_adam, init_mlp, log_softmax, params_allfinite,
+                      params_task_mean, xent_loss_grad)
 from .tasks import Task, stack_tasks
 
 DEFAULT_HIDDEN = (64, 64)
@@ -147,9 +146,8 @@ def sgd_in_place(params: ModelParams, task: Task, inner_lr: float,
                  steps: int) -> ModelParams:
     """SGD on the task's train set, updating params, which the caller owns,
     in place; each step has the bits of apply_sgd. Returns params."""
-    y = check_onehot(task.train_y)  # once; the steps skip the check
     for _ in range(steps):
-        _, g = _xent_loss_grad(params, task.train_x, y)
+        _, g = xent_loss_grad(params, task.train_x, task.train_y)
         for layer, grad in zip(params.layers, g.layers):
             grad.weights *= -inner_lr
             grad.bias *= -inner_lr

@@ -111,12 +111,6 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
 def params_add_scaled(params: ModelParams, delta: ModelParams, scale: float) -> ModelParams:
     """params + scale * delta, elementwise over every layer tensor."""
     _check_same_shape(params, delta)
-    return _params_add_scaled(params, delta, scale)
-
-
-def _params_add_scaled(params: ModelParams, delta: ModelParams,
-                       scale: float) -> ModelParams:
-    # unchecked: for a delta that has params' layer shapes by construction
     return ModelParams([
         Layer(_add_scaled(p.weights, d.weights, scale),
               _add_scaled(p.bias, d.bias, scale), p.activation)
@@ -312,11 +306,7 @@ def xent_loss_grad(params: ModelParams, inputs: np.ndarray,
     """Mean softmax cross-entropy over the batch and its exact parameter
     gradient (log-sum-exp stabilized). A task stack gives one loss and one
     gradient per task."""
-    return _xent_loss_grad(params, inputs, check_onehot(onehot_labels))
-
-
-def _xent_loss_grad(params: ModelParams, inputs: np.ndarray, y: np.ndarray):
-    # xent_loss_grad for labels that check_onehot has already passed
+    y = check_onehot(onehot_labels)
     pre, acts = _forward_cached(params, inputs)
     logits = acts[-1]
     if y.shape != logits.shape:
@@ -336,12 +326,6 @@ def hvp_xent(params: ModelParams, inputs: np.ndarray, onehot_labels: np.ndarray,
     """
     y = check_onehot(onehot_labels)
     _check_same_shape(params, direction)
-    return _hvp_xent(params, inputs, y, direction)
-
-
-def _hvp_xent(params: ModelParams, inputs: np.ndarray, y: np.ndarray,
-              direction: ModelParams) -> ModelParams:
-    # hvp_xent for checked labels and a direction shaped like params
     pre, acts = _forward_cached(params, inputs)
     masks = [_activation_mask(z, layer.activation) for z, layer in zip(pre, params.layers)]
     r_acts = [np.zeros_like(acts[0])]
@@ -392,19 +376,17 @@ def grad_through_adaptation(params: ModelParams,
         raise ContractError("inner_steps must be >= 0")
     if inner_lr < 0:
         raise ContractError("inner_lr must be >= 0")
-    tx, qx = train_batch[0], query_batch[0]
-    # labels are checked once here; every step's gradients and HVPs have the
-    # parameters' shapes by construction, so the steps skip both checks
-    ty, qy = check_onehot(train_batch[1]), check_onehot(query_batch[1])
+    tx, ty = train_batch
+    qx, qy = query_batch
     trajectory = []  # the parameters each inner step starts from
     theta = params
     for step in range(inner_steps):
-        loss, g = _xent_loss_grad(theta, tx, ty)
+        loss, g = xent_loss_grad(theta, tx, ty)
         if not (np.isfinite(loss).all() and params_allfinite(g)):
             raise NumericError(f"non-finite inner loss/gradient at adaptation step {step}")
         trajectory.append(theta)
-        theta = _params_add_scaled(theta, g, -inner_lr)
-    query_loss, v = _xent_loss_grad(theta, qx, qy)
+        theta = apply_sgd(theta, g, inner_lr)
+    query_loss, v = xent_loss_grad(theta, qx, qy)
     del theta  # the backward pass needs only the trajectory
     if not (np.isfinite(query_loss).all() and params_allfinite(v)):
         raise NumericError(f"non-finite query loss/gradient after step {inner_steps}")
@@ -412,8 +394,8 @@ def grad_through_adaptation(params: ModelParams,
         return query_loss, v
     for step in range(inner_steps - 1, -1, -1):
         # popping frees each step's parameters once they are used
-        hv = _hvp_xent(trajectory.pop(), tx, ty, v)
-        v = _params_add_scaled(v, hv, -inner_lr)
+        hv = hvp_xent(trajectory.pop(), tx, ty, v)
+        v = params_add_scaled(v, hv, -inner_lr)
         if not params_allfinite(v):
             raise NumericError(f"non-finite meta-gradient while backing through step {step}")
     return query_loss, v

@@ -234,6 +234,7 @@ def assert_data_error(capsys, argv):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
+    return err
 
 @pytest.mark.parametrize("per_class", [8, 20])
 def test_evaluate_partition_of_other_dataset_size_is_exit_3(tmp_path, partitions,
@@ -321,6 +322,19 @@ def test_evaluate_manifest_of_another_split_is_exit_3(tmp_path, dataset, partiti
     assert str(manifest) in err and "'meta-train'" in err and "'meta-test'" in err
     assert main(eval_args(dataset, tmp_path / "knn.csv", "knn",
                           tasks_manifest=manifest, split="test")) == 2
+    # a task line whose split field is empty names the missing field
+    lines = manifest.read_text().splitlines()
+    first = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    fields = lines[first].split(";")
+    fields[5] = ""
+    lines[first] = ";".join(fields)
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(eval_args(dataset, tmp_path / "knn.csv", "knn",
+                          tasks_manifest=manifest, split="meta-train")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert str(manifest) in err and "empty split field" in err
 
 @pytest.mark.parametrize("where", ["length", "text"])
 def test_dataset_cut_inside_its_config_trailer_is_exit_3(tmp_path, dataset, where,
@@ -346,6 +360,15 @@ BAD_MANIFEST_FIELDS = {
     "perm_not_a_permutation": (9, lambda v: ",".join(["0"] * len(v.split(",")))),
     "missing_field": (None, None),
 }
+# words of the reader's message for each edit
+BAD_MANIFEST_MESSAGES = {
+    "negative_train_index": "train index -1 outside",
+    "query_index_past_end": "query index 72 outside",
+    "non_numeric_index": "train index 'x' is not an integer",
+    "non_numeric_k": "k 'one' is not an integer",
+    "perm_not_a_permutation": "label_perm '0,0,0' is not a permutation",
+    "missing_field": "11 fields, expected 12",
+}
 
 @pytest.mark.parametrize("case", sorted(BAD_MANIFEST_FIELDS))
 def test_evaluate_malformed_task_manifest_is_exit_3(tmp_path, dataset, partitions,
@@ -365,8 +388,11 @@ def test_evaluate_malformed_task_manifest_is_exit_3(tmp_path, dataset, partition
         fields[index] = edit(fields[index])
     lines[first] = ";".join(fields)
     manifest.write_text("\n".join(lines) + "\n")
-    assert_data_error(capsys, eval_args(dataset, tmp_path / "knn.csv", "knn",
-                                        tasks_manifest=manifest))
+    # the tasks are meta-train tasks, so only the reader can reject them
+    err = assert_data_error(capsys, eval_args(dataset, tmp_path / "knn.csv", "knn",
+                                              tasks_manifest=manifest,
+                                              split="meta-train"))
+    assert f"{manifest}:{first + 1}: {BAD_MANIFEST_MESSAGES[case]}" in err
 
 def test_meta_train_on_embeddings_and_oracle_source(tmp_path, dataset, partitions):
     # meta-learn directly on embeddings: model width follows d_z
@@ -429,8 +455,11 @@ def test_evaluate_manifest_with_unknown_input_repr_is_exit_3(tmp_path, dataset,
     fields[4] = "bogus"
     lines[first] = ";".join(fields)
     manifest.write_text("\n".join(lines) + "\n")
-    assert_data_error(capsys, eval_args(dataset, tmp_path / "knn.csv", "knn",
-                                        tasks_manifest=manifest))
+    # the tasks are meta-train tasks, so only the reader can reject them
+    err = assert_data_error(capsys, eval_args(dataset, tmp_path / "knn.csv", "knn",
+                                              tasks_manifest=manifest,
+                                              split="meta-train"))
+    assert "input_repr 'bogus'" in err
 
 @pytest.mark.parametrize("learner", ["maml", "protonet"])
 def test_logged_meta_val_accuracy_equals_per_task_predictions(tmp_path, learner):
