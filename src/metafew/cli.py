@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError, MetafewError, NumericError
 from .evaluation import (compare, evaluate, format_comparison, read_report_csv,
                          task_set_fingerprint, write_comparison_csv,
                          write_report_csv)
-from .ioutil import default_workers, fmt_float, stable_rng
+from .ioutil import fmt_float, stable_rng
 from .learners import LEARNER_IDS, make_learner
 from .metalearn import MetaConfig, initial_model, meta_train
 from .network import load_checkpoint, save_checkpoint
@@ -138,7 +138,6 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "linear_lr": (float, 0.5, "linear classifier learning rate"),
         "linear_max_iter": (int, 500, "linear classifier iteration cap"),
         "hidden": (str, "64,64", "scratch model hidden widths"),
-        "workers": (int, 0, "parallel task workers (0: METAFEW_WORKERS or cores)"),
     },
     "compare": {
         "out": (str, "", "optional comparison CSV"),
@@ -455,9 +454,8 @@ def cmd_evaluate(cfg: dict, echo: str) -> int:
         linear_l2=cfg["linear_l2"], linear_lr=cfg["linear_lr"],
         linear_max_iter=cfg["linear_max_iter"], hidden=_parse_hidden(cfg["hidden"]))
     fingerprint = f"{_file_digest(data_path)[:8]}-{task_set_fingerprint(tasks)}"
-    workers = cfg["workers"] or default_workers()
     report = evaluate(predict, tasks, learner_id=learner_id, fingerprint=fingerprint,
-                      seed=cfg["seed"], workers=workers)
+                      seed=cfg["seed"])
     write_report_csv(report, cfg["out"], config_text=echo)
     print(report.summary())
     return 0

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ioutil import fmt_float, parallel_map, stable_rng
+from .ioutil import fmt_float, stable_rng
 from .tasks import Task, stack_key
 
 Z95 = 1.96
@@ -80,11 +80,13 @@ def task_set_fingerprint(tasks: list[Task]) -> str:
     return h.hexdigest()[:16]
 
 
-# Evaluation walks the task list in chunks of consecutive, equally shaped
-# tasks holding at most this many train plus query rows (and at least one
-# task). Stacked learners fit a chunk in one pass; the thread pool maps over
-# chunks. Results do not depend on it.
-CHUNK_ROWS = 256
+# Evaluation walks the task list serially in chunks of consecutive, equally
+# shaped tasks holding at most this many train plus query rows (and at least
+# one task); results do not depend on it. Bigger chunks pay per-step Python
+# overhead fewer times until their buffers leave the cache: eval-sweep's
+# evaluate stages took 2663/2542/2809 ms at 512/1024/2048 rows (median of 5,
+# 2-vCPU VM); at 2048 its 20-shot MLP slowed from 1208 to 1578 ms.
+CHUNK_ROWS = 1024
 
 
 def task_chunks(tasks: list[Task]) -> list[list[Task]]:
@@ -111,7 +113,7 @@ def per_task(predict_fn: Callable[[Task, np.random.Generator], np.ndarray]):
 
 
 def evaluate(predict_fn: Callable, tasks: list[Task], learner_id: str = "",
-             fingerprint: str = "", seed: int = 0, workers: int = 1) -> EvalReport:
+             fingerprint: str = "", seed: int = 0) -> EvalReport:
     """Per-task accuracy of predict_fn over a fixed task set.
 
     predict_fn(tasks, rngs) takes a chunk of equally shaped tasks (see
@@ -127,14 +129,14 @@ def evaluate(predict_fn: Callable, tasks: list[Task], learner_id: str = "",
     if not fingerprint:
         fingerprint = task_set_fingerprint(tasks)
 
-    def run_chunk(chunk: list[Task]) -> list[float]:
+    acc = []
+    for chunk in task_chunks(tasks):
         rngs = [stable_rng(seed, t.task_seed if t.task_seed is not None else 0)
                 for t in chunk]
         preds = predict_fn(chunk, rngs)
         if len(preds) != len(chunk):
             raise DataError(f"learner returned {len(preds)} predictions for a "
                             f"chunk of {len(chunk)} tasks")
-        acc = []
         for task, pred in zip(chunk, preds):
             pred = np.asarray(pred)
             want = task.query_labels_int()
@@ -142,11 +144,8 @@ def evaluate(predict_fn: Callable, tasks: list[Task], learner_id: str = "",
                 raise DataError(f"learner returned {pred.shape} predictions for "
                                 f"{want.shape} queries")
             acc.append(float((pred == want).mean()))
-        return acc
-
-    per_chunk = parallel_map(run_chunk, task_chunks(tasks), workers)
-    acc = np.array([a for chunk_acc in per_chunk for a in chunk_acc])
-    return EvalReport(acc, learner_id=learner_id, fingerprint=fingerprint, seed=seed)
+    return EvalReport(np.array(acc), learner_id=learner_id, fingerprint=fingerprint,
+                      seed=seed)
 
 
 # -- comparison -------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Small shared I/O helpers: config trailers on binary artifacts, float
-formatting for text artifacts, seeded generators, bounded parallel maps."""
+formatting for text artifacts, seeded generators, the worker-count setting."""
 
 from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -54,6 +53,8 @@ def stable_rng(*entropy: int) -> np.random.Generator:
 
 
 def default_workers() -> int:
+    """METAFEW_WORKERS, or the core count when it is unset. metafew runs
+    serially; only the benchmark reads this, to record and scale by it."""
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
@@ -62,11 +63,3 @@ def default_workers() -> int:
             raise ConfigError(f"{WORKERS_ENV}={env!r} is not an integer") from None
     return os.cpu_count() or 1
 
-
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """Ordered map, optionally over a bounded thread pool."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))

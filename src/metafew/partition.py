@@ -4,7 +4,9 @@ assignment, and label-derived partitions."""
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +16,13 @@ from .errors import ConfigError, DataError, InfeasibleError, NumericError, Shape
 from .ioutil import fmt_float, stable_rng
 
 PROVENANCES = ("kmeans", "hyperplane", "random", "supervised")
+
+# On a partition file read as "\n" + text (a leading literal lets the regex
+# engine scan for it): header lines, which may stand anywhere; the indent of
+# blank and `#` lines, which np.loadtxt would parse; the first body line.
+_HEADER_LINE = re.compile(r"\n[^\S\n]*#(.*)")
+_INDENT_BEFORE_NON_BODY = re.compile(r"\n[^\S\n]+(?=#|\n|$)")
+_BODY_LINE = re.compile(r"\n[^\S\n]*[^#\s]")
 
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-8
@@ -469,25 +478,19 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
     >= -1. A malformed header value is a DataError."""
     header: dict[str, str] = {}
     planes: list[Hyperplane] = []
-    body = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                if key == "hyperplane":
-                    planes.append(_header_field(path, key, value, _parse_hyperplane))
-                else:
-                    header[key] = value
-                continue
-            body.append(line)
+        text = "\n" + fh.read()
+    for line in _HEADER_LINE.findall(text):
+        key, _, value = line.strip().partition("=")
+        if key == "hyperplane":
+            planes.append(_header_field(path, key, value, _parse_hyperplane))
+        else:
+            header[key] = value
 
     def header_value(key, parse):
         return _header_field(path, key, header[key], parse) if key in header else None
 
-    pairs = _parse_assignment_lines(path, body)
+    pairs = _parse_assignment_lines(path, text)
     n = header_value("n", int)
     n = len(pairs) if n is None else n
     if len(pairs) != n:
@@ -552,12 +555,15 @@ def _parse_hyperplane(text: str) -> Hyperplane:
     return Hyperplane(_parse_floats(normal), _parse_floats(anchor))
 
 
-def _parse_assignment_lines(path, lines: list[str]) -> np.ndarray:
-    """`index,cluster` lines as an (m, 2) int64 array."""
-    if not lines:
+def _parse_assignment_lines(path, text: str) -> np.ndarray:
+    """The `index,cluster` body lines of a partition file's "\n" + text as an
+    (m, 2) int64 array; `#` lines and blank lines are skipped."""
+    if not _BODY_LINE.search(text):
         return np.empty((0, 2), dtype=np.int64)
+    body = _INDENT_BEFORE_NON_BODY.sub("\n", text)
     try:
-        pairs = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
+        pairs = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
+                           ndmin=2, comments="#")
     except ValueError as exc:
         raise DataError(f"{path}: bad assignment line: {exc}") from None
     if pairs.shape[1] != 2:

@@ -333,8 +333,7 @@ def test_criterion_7_cli_determinism(tmp_path):
             assert main(["evaluate", f"data={paths['data']}",
                          f"out={paths['maml_report']}", "learner=maml",
                          f"checkpoint={paths['ckpt']}", "tasks=10", "n_way=2",
-                         "k_shot=1", "q_queries=3", "seed=11", "adapt_steps=5",
-                         "workers=2"]) == 0
+                         "k_shot=1", "q_queries=3", "seed=11", "adapt_steps=5"]) == 0
             assert main(["evaluate", f"data={paths['data']}",
                          f"out={paths['knn_report']}", "learner=knn",
                          "tasks=10", "n_way=2", "k_shot=1", "q_queries=3",

@@ -63,15 +63,14 @@ def learners(ds):
 
 
 @pytest.mark.parametrize("learner_id", LEARNER_IDS)
-def test_accuracies_independent_of_chunk_budget_and_workers(
-        learner_id, learners, mixed_tasks, monkeypatch):
+def test_accuracies_independent_of_chunk_budget(learner_id, learners, mixed_tasks,
+                                                monkeypatch):
     predict = learners[learner_id]
     runs = []
     for rows, chunks in ((1, 14), (24, 9), (10 ** 6, 6)):
         monkeypatch.setattr(evaluation, "CHUNK_ROWS", rows)
         assert len(task_chunks(mixed_tasks)) == chunks
-        for workers in (1, 2):
-            runs.append(evaluate(predict, mixed_tasks, seed=3, workers=workers).accuracies)
+        runs.append(evaluate(predict, mixed_tasks, seed=3).accuracies)
     for acc in runs[1:]:
         assert acc.tobytes() == runs[0].tobytes()
 
@@ -165,7 +164,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     for learner in LEARNERS:
         assert main(["evaluate", "data=ds.emb1", f"out={learner}.csv",
                      f"learner={learner}", "tasks=8", "n_way=5", "k_shot=20",
-                     "q_queries=5", "seed=4", "mlp_steps=60", "workers=1",
+                     "q_queries=5", "seed=4", "mlp_steps=60",
                      "partition=km_000.part"]) == 0
 for learner in LEARNERS:
     with open(f"{learner}.csv", "rb") as fh:

@@ -5,7 +5,9 @@ import pytest
 
 from metafew.cli import main
 from metafew.data import load_dataset
+from metafew.errors import ConfigError
 from metafew.evaluation import read_report_csv
+from metafew.ioutil import default_workers
 from metafew.metalearn import MetaConfig, initial_model, maml_predict, protonet_predict
 from metafew.network import load_checkpoint, params_flatten
 from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
@@ -49,11 +51,15 @@ def test_synth_zero_noise_flag_honored(tmp_path):
     first_class = ds.raw[ds.labels == 0]
     assert np.all(first_class == first_class[0])
 
-def test_unknown_config_key_is_exit_2(tmp_path):
+def test_unknown_config_key_is_exit_2(tmp_path, dataset, capsys):
     assert main(["synth", "bogus_key=1"]) == 2
-    # partition generation is serial; its former workers key is unknown
+    # partition generation and evaluation are serial; their former workers
+    # key is unknown
     assert main(["partition", "data=x", "out_prefix=x", "method=kmeans",
                  "k=3", "workers=2"]) == 2
+    capsys.readouterr()
+    assert main(eval_args(dataset, tmp_path / "knn.csv", "knn", workers=2)) == 2
+    assert "unknown config key 'workers'" in capsys.readouterr().err
 
 def test_config_file_with_overrides(tmp_path):
     cfg = tmp_path / "synth.cfg"
@@ -159,7 +165,7 @@ def test_meta_train_protonet(tmp_path, dataset, partitions):
 def eval_args(dataset, out, learner, **over):
     args = {"data": str(dataset), "out": str(out), "learner": learner,
             "tasks": "12", "n_way": "2", "k_shot": "1", "q_queries": "5",
-            "seed": "17", "adapt_steps": "5", "workers": "1"}
+            "seed": "17", "adapt_steps": "5"}
     args.update({k: str(v) for k, v in over.items()})
     return ["evaluate"] + [f"{k}={v}" for k, v in args.items()]
 
@@ -542,10 +548,10 @@ def test_cluster_match_on_pixel_partition_is_exit_3(tmp_path, d_in, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "source_space=raw" in err
 
-def test_non_integer_workers_variable_is_exit_2(tmp_path, dataset, capsys,
-                                                 monkeypatch):
+def test_default_workers_reads_metafew_workers(monkeypatch):
     monkeypatch.setenv("METAFEW_WORKERS", "abc")
-    capsys.readouterr()
-    assert main(eval_args(dataset, tmp_path / "knn.csv", "knn", workers=0)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "METAFEW_WORKERS" in err
+    with pytest.raises(ConfigError, match="METAFEW_WORKERS"):
+        default_workers()
+    for text, want in (("3", 3), ("1", 1), ("0", 1), ("-2", 1)):
+        monkeypatch.setenv("METAFEW_WORKERS", text)
+        assert default_workers() == want

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from metafew import evaluation
 from metafew.data import synth_mixture
 from metafew.errors import ConfigError
 from metafew.evaluation import (EvalReport, ci95_half_width, compare, evaluate,
@@ -53,10 +56,17 @@ def test_evaluation_invariant_to_task_order(tasks):
     assert np.array_equal(np.sort(a.accuracies), np.sort(b.accuracies))
     assert a.mean == pytest.approx(b.mean, rel=1e-12)
 
-def test_parallel_evaluation_matches_serial(tasks):
-    a = evaluate(random_learner, tasks, seed=9, workers=1)
-    b = evaluate(random_learner, tasks, seed=9, workers=4)
-    assert np.array_equal(a.accuracies, b.accuracies)
+def test_evaluate_predicts_on_the_calling_thread(tasks, monkeypatch):
+    monkeypatch.setattr(evaluation, "CHUNK_ROWS", 24)  # one task per chunk
+    threads = set()
+
+    @per_task
+    def recording_learner(task, rng):
+        threads.add(threading.get_ident())
+        return task.query_labels_int()
+
+    assert evaluate(recording_learner, tasks).mean == 1.0
+    assert threads == {threading.get_ident()}
 
 def test_report_csv_round_trip_exact(tmp_path, tasks):
     report = evaluate(random_learner, tasks, learner_id="rnd", seed=3)

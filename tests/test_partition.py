@@ -375,3 +375,42 @@ def test_clusters_are_ascending_members_of_each_id(tmp_path):
     assert len(loaded.clusters) == 5
     for c, members in enumerate(loaded.clusters):
         assert np.array_equal(members, np.flatnonzero(assignment == c))
+
+def test_load_skips_blank_lines_and_reads_headers_anywhere(tmp_path):
+    rng = np.random.default_rng(67)
+    part = hyperplane_partition(rng.standard_normal((40, 3)), 3, margin=0.1,
+                                r_min=2, seed=68)
+    path = tmp_path / "h.part"
+    save_partition(part, path)
+    lines = path.read_text().splitlines()
+    head = [l for l in lines if l.startswith("#")]
+    body = [l for l in lines if not l.startswith("#")]
+    # indented headers inside the body, empty and whitespace-only lines, an
+    # indented body line with a trailing comment, no final newline
+    path.write_text("\n".join(head[:2] + ["", "  \t"] + body[:10]
+                              + ["  " + h for h in head[2:]] + ["\f"]
+                              + [" " + body[10] + "  # note"] + body[11:]))
+    loaded = load_partition(path)
+    assert np.array_equal(loaded.assignment, part.assignment)
+    assert (loaded.seed, loaded.margin) == (part.seed, part.margin)
+    for ha, hb in zip(loaded.hyperplanes, part.hyperplanes, strict=True):
+        assert np.array_equal(ha.normal, hb.normal)
+        assert np.array_equal(ha.point, hb.point)
+
+# bodies after the header `# n=2`, and the message after the path
+BAD_BODIES = {
+    "bad_value": ("0,1\n# k=2\n1,x\n", "bad assignment line: could not convert "
+                                       "string 'x' to int64 at row 1, column 2"),
+    "three_fields": ("0,1,5\n1,0,5\n", "assignment lines need 2 fields, got 3"),
+    "count": ("\n0,1\n  \n", "1 assignment lines, header says n=2"),
+    "no_body": ("# k=1\n", "0 assignment lines, header says n=2"),
+}
+
+@pytest.mark.parametrize("case", sorted(BAD_BODIES))
+def test_load_errors_name_path_and_fault(tmp_path, case):
+    body, message = BAD_BODIES[case]
+    path = tmp_path / "bad.part"
+    path.write_text("# provenance=random\n# n=2\n" + body)
+    with pytest.raises(DataError) as info:
+        load_partition(path)
+    assert str(info.value).startswith(f"{path}: {message}")
