@@ -272,9 +272,11 @@ def cmd_partition(cfg: dict, echo: str) -> int:
         parts = generate_partitions(ds, p_count, cfg["k"], cfg["seed"], split=split,
                                     max_iter=cfg["max_iter"], tol=cfg["tol"])
     elif method == "pixel":
-        parts = [pixel_partition(ds, cfg["k"], seed=cfg["seed"] + i, split=split,
-                                 max_iter=cfg["max_iter"], tol=cfg["tol"])
+        parts = [pixel_partition(ds, cfg["k"], seed=stable_rng(cfg["seed"], i),
+                                 split=split, max_iter=cfg["max_iter"], tol=cfg["tol"])
                  for i in range(p_count)]
+        for part in parts:
+            part.seed = cfg["seed"]
     elif method == "random":
         rows = ds.split_indices(split)
         parts = []

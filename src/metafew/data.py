@@ -5,6 +5,7 @@ mixture generator."""
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -277,23 +278,27 @@ def save_dataset(ds: DataSet, path, config_text: str | None = None) -> None:
             write_config_trailer(fh, config_text)
 
 
-def _load_emb1(blob: bytes, path) -> tuple[DataSet, str | None]:
-    if blob[:4] != DATASET_MAGIC:
-        raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {DATASET_MAGIC!r}")
-    if len(blob) < 21:
+def _load_emb1(fh, path) -> tuple[DataSet, str | None]:
+    """Read an open EMB1 file: the float blocks go straight into their
+    arrays, and only the tail after them is read as bytes."""
+    head = fh.read(21)
+    if head[:4] != DATASET_MAGIC:
+        raise DataError(f"{path}: bad magic {head[:4]!r}, expected {DATASET_MAGIC!r}")
+    if len(head) < 21:
         raise DataError(f"{path}: truncated header")
-    n, d_in, d_z, n_attr, flags = struct.unpack_from("<IIIIB", blob, 4)
-    pos = 21
-    def take_floats(count):
-        nonlocal pos
-        end = pos + count * 8
-        if end > len(blob):
+    n, d_in, d_z, n_attr, flags = struct.unpack_from("<IIIIB", head, 4)
+    size = os.fstat(fh.fileno()).st_size
+
+    def read_floats(cols):
+        if n * cols * 8 > size - fh.tell():
             raise DataError(f"{path}: truncated payload")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos)
-        pos = end
-        return arr.astype(np.float64)
-    raw = take_floats(n * d_in).reshape(n, d_in)
-    embeddings = take_floats(n * d_z).reshape(n, d_z) if d_z else None
+        arr = np.empty((n, cols), dtype="<f8")
+        fh.readinto(arr)
+        return arr.astype(np.float64, copy=False)
+    raw = read_floats(d_in)
+    embeddings = read_floats(d_z) if d_z else None
+    blob = fh.read()
+    pos = 0
     labels = None
     if flags & _FLAG_LABELS:
         end = pos + n * 4
@@ -417,5 +422,5 @@ def load_dataset_with_config(path, format: str = "auto") -> tuple[DataSet, str |
         format = "emb1" if magic == DATASET_MAGIC else "csv"
     if format == "emb1":
         with open(path, "rb") as fh:
-            return _load_emb1(fh.read(), path)
+            return _load_emb1(fh, path)
     return _load_csv(path), None

@@ -34,6 +34,8 @@ BLOCK_ELEMS = 1 << 16
 # row count every block's product is padded to a multiple of; OpenBLAS
 # splits such products across threads without changing their bits
 GEMM_ALIGN = 64
+# rows per block of the hyperplane distance pass, a multiple of GEMM_ALIGN
+SLICE_ROWS = 1024
 
 
 @dataclass
@@ -122,10 +124,15 @@ def _clusters_from_assignment(assignment: np.ndarray) -> list[np.ndarray]:
 
 # -- metric-scaled k-means ------------------------------------------------------
 
-def _check_points(points: np.ndarray) -> np.ndarray:
+def _as_points(points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ShapeError(f"points must be 2-d, got {points.shape}")
+    return points
+
+
+def _check_points(points: np.ndarray) -> np.ndarray:
+    points = _as_points(points)
     if not np.isfinite(points).all():
         raise DataError("points contain non-finite values")
     return points
@@ -175,6 +182,7 @@ def kmeans(points: np.ndarray, k: int, scaling: np.ndarray | None = None,
     else:
         centroids = y[rng.choice(n, size=k, replace=False)]
     sq_y = (y * y).sum(axis=1)
+    columns = np.ascontiguousarray(y.T)
     prev_assign = None
     prev_obj = np.inf
     trace = []
@@ -189,8 +197,7 @@ def kmeans(points: np.ndarray, k: int, scaling: np.ndarray | None = None,
             break
         if prev_assign is not None and prev_obj - obj <= tol * max(prev_obj, 1e-300):
             break
-        for c, members in enumerate(_clusters_from_assignment(assign)):
-            centroids[c] = y[members].mean(axis=0)
+        centroids = _member_means(columns, assign, k)
         prev_assign, prev_obj = assign, obj
     clusters = _clusters_from_assignment(assign)
     means = np.stack([points[m].mean(axis=0) for m in clusters])
@@ -200,33 +207,67 @@ def kmeans(points: np.ndarray, k: int, scaling: np.ndarray | None = None,
                      objective_trace=np.array(trace))
 
 
+def _member_means(columns, assign, k):
+    """Mean of each of the k clusters of points given as their columns
+    (d, n), with the bits of points[members].mean(axis=0). With two or more
+    columns numpy adds a cluster's rows one at a time in index order from
+    0.0, as bincount does; a single column it sums pairwise."""
+    if len(columns) == 1:
+        return np.array([[columns[0][m].mean()] for m in _clusters_from_assignment(assign)])
+    sums = np.empty((k, len(columns)))
+    for j, col in enumerate(columns):
+        sums[:, j] = np.bincount(assign, weights=col, minlength=k)
+    return sums / np.bincount(assign, minlength=k)[:, None]
+
+
+def _aligned(rows: int) -> int:
+    """rows rounded up to a multiple of GEMM_ALIGN."""
+    return -(-rows // GEMM_ALIGN) * GEMM_ALIGN
+
+
 def _assign(y, sq_y, centroids):
-    """Nearest centroid of each row of y and its squared distance.
+    """Nearest centroid of each row of y and its squared distance
+    (|y|^2 + |c|^2) - 2 c.y, clamped at zero; a tie goes to the lower index.
 
     Rows go through in blocks of about BLOCK_ELEMS distances, each block
     padded with zero rows to a multiple of GEMM_ALIGN. The product is taken
-    as centroids @ y.T. Blocks of other widths, or y on the left, let
-    OpenBLAS round some entries differently depending on its thread count;
-    this layout gives the same bits at any thread count and block size.
+    as (2 centroids) @ y.T, which has the bits of 2.0 * (centroids @ y.T).
+    Blocks of other widths, or y on the left, let OpenBLAS round some
+    entries differently depending on its thread count; this layout gives
+    the same bits at any thread count and block size. Each block then takes
+    three passes: the sums |y|^2 + |c|^2 into one reused buffer, the
+    product subtracted in place, and argmin. Only a row whose minimum is
+    <= 0 is clamped: it takes its first entry <= 0 at distance +0.0, as
+    clamping every entry would give.
     """
-    n, k = y.shape[0], centroids.shape[0]
+    n, d = y.shape
+    k = centroids.shape[0]
     cc = (centroids * centroids).sum(axis=1)
+    twice = 2.0 * centroids
+    rows = max(1, BLOCK_ELEMS // k // GEMM_ALIGN) * GEMM_ALIGN
+    prod_buf = np.empty(k * rows)
+    d2_buf = np.empty((min(rows, n), k))
     assign = np.empty(n, dtype=np.int64)
     min_d2 = np.empty(n)
-    rows = max(1, BLOCK_ELEMS // k // GEMM_ALIGN) * GEMM_ALIGN
     for lo in range(0, n, rows):
-        block = slice(lo, min(lo + rows, n))
-        m = block.stop - lo
-        yb = y[block]
+        hi = min(lo + rows, n)
+        m = hi - lo
+        yb = y[lo:hi]
         if m % GEMM_ALIGN:
-            yb = np.zeros((m - m % GEMM_ALIGN + GEMM_ALIGN, y.shape[1]))
-            yb[:m] = y[block]
-        prod = np.ascontiguousarray((centroids @ yb.T)[:, :m].T)
-        d2 = (sq_y[block, None] + cc) - 2.0 * prod
-        np.maximum(d2, 0.0, out=d2)
+            yb = np.zeros((_aligned(m), d))
+            yb[:m] = y[lo:hi]
+        prod = np.matmul(twice, yb.T, out=prod_buf[:k * len(yb)].reshape(k, len(yb)))
+        d2 = d2_buf[:m]
+        np.add(sq_y[lo:hi, None], cc, out=d2)
+        np.subtract(d2, prod[:, :m].T, out=d2)
         best = d2.argmin(axis=1)
-        assign[block] = best
-        min_d2[block] = d2[np.arange(m), best]
+        mins = d2[np.arange(m), best]
+        low = np.flatnonzero(mins <= 0.0)
+        if low.size:
+            best[low] = (d2[low] <= 0.0).argmax(axis=1)
+            mins[low] = 0.0
+        assign[lo:hi] = best
+        min_d2[lo:hi] = mins
     return assign, min_d2
 
 
@@ -341,18 +382,47 @@ def partition_by_hyperplanes(points: np.ndarray, hyperplanes: list[Hyperplane],
     Points within (-margin, margin) of any plane are discarded; buckets
     with fewer than r_min members are pruned. The caller checks whether
     enough clusters survive.
+
+    Each plane measures only the rows that no earlier plane discarded,
+    SLICE_ROWS at a time through one reused buffer. OpenBLAS takes the rows
+    of a matrix-vector product in groups of 4 and rounds a last partial
+    group its own way, so every block is padded to a multiple of GEMM_ALIGN
+    rows: a row's distance then has the bits that signed_distance gives it
+    among any multiple of 4 rows. A non-finite point has a non-finite
+    distance to the first plane; only then are the points scanned.
     """
-    points = _check_points(points)
+    points = _as_points(points)
     if margin < 0:
         raise ConfigError("margin must be >= 0")
-    dists = np.stack([signed_distance(h, points) for h in hyperplanes], axis=1)
-    kept = (np.abs(dists) >= margin).all(axis=1)
-    pattern = (dists >= 0).astype(np.int64) @ (1 << np.arange(len(hyperplanes)))
-    assignment = np.full(points.shape[0], -1, dtype=np.int64)
+    n, width = points.shape
+    alive = np.arange(n)
+    pattern = np.zeros(n, dtype=np.int64)
+    buf = np.zeros((min(SLICE_ROWS, _aligned(n)), width))
+    for bit, h in enumerate(hyperplanes):
+        if h.normal.shape[0] != width:
+            raise ShapeError(f"points width {width} != plane dim {h.normal.shape[0]}")
+        unit = h.normal / np.linalg.norm(h.normal)
+        dist = np.empty(_aligned(alive.size))
+        with np.errstate(invalid="ignore"):  # a non-finite point raises below
+            for lo in range(0, alive.size, SLICE_ROWS):
+                rows = alive[lo:lo + SLICE_ROWS]
+                block = np.take(points, rows, axis=0, out=buf[:rows.size], mode="clip")
+                np.subtract(block, h.point, out=block)
+                padded = buf[:_aligned(rows.size)]
+                np.matmul(padded, unit, out=dist[lo:lo + len(padded)])
+        dist = dist[:alive.size]
+        if not np.isfinite(dist).all():
+            _check_points(points)
+        keep = np.abs(dist) >= margin
+        alive = alive[keep]
+        pattern = pattern[keep] | (dist[keep] >= 0).astype(np.int64) << bit
+    order = np.argsort(pattern, kind="stable")
+    bounds = np.searchsorted(pattern[order], np.arange((1 << len(hyperplanes)) + 1))
+    assignment = np.full(n, -1, dtype=np.int64)
     clusters = []
-    for pat in range(1 << len(hyperplanes)):
-        members = np.flatnonzero(kept & (pattern == pat))
-        if members.size >= r_min:
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo >= r_min:
+            members = alive[order[lo:hi]]
             assignment[members] = len(clusters)
             clusters.append(members)
     return Partition(assignment=assignment, clusters=clusters, centroids=None,
@@ -365,8 +435,9 @@ def hyperplane_partition(points: np.ndarray, n_way: int, margin: float, r_min: i
                          pool: list[Hyperplane] | None = None,
                          retry_cap: int = HYPERPLANE_RETRY_CAP) -> Partition:
     """Slice the space with H = ceil(log2 n_way) hyperplanes; reject and
-    retry while fewer than n_way subsets survive margin and size pruning."""
-    points = _check_points(points)
+    retry while fewer than n_way subsets survive margin and size pruning.
+    Non-finite points are caught by the slicing's first plane."""
+    points = _as_points(points)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     h = max(1, math.ceil(math.log2(n_way)))
     last_kept = 0.0

@@ -1,13 +1,15 @@
 """Independent oracles shared by the test suite: central finite
 differences, exhaustive 2-cluster k-means enumeration, a scalar Adam
-trace, and per-query kNN and per-point cluster matching. These never call
-the code paths they check."""
+trace, per-query kNN and per-point cluster matching, and the earlier
+forms of the k-means assignment and hyperplane slicing kernels that pin
+their bits. These never call the code paths they check."""
 
 import itertools
 
 import numpy as np
 
 from metafew.network import ModelParams, params_flatten, params_unflatten
+from metafew.partition import Partition
 
 
 def finite_difference_grad(loss_fn, params: ModelParams, h: float = 1e-5) -> ModelParams:
@@ -135,3 +137,49 @@ def reference_cluster_matching(partition, task, embeddings):
         dc = ((centroids[labeled] - centroids[c]) ** 2).sum(axis=1)
         out[i] = cluster_label[labeled[int(dc.argmin())]]
     return out
+
+
+def reference_assign(y, sq_y, centroids, block_elems=1 << 16, gemm_align=64):
+    """The six-pass k-means assignment step that the three-pass kernel
+    replaced: per block of 64-padded rows, the product centroids @ y.T
+    copied to row order, the sum |y|^2 + |c|^2 minus twice the product,
+    every entry clamped at zero, then argmin."""
+    n, k = y.shape[0], centroids.shape[0]
+    cc = (centroids * centroids).sum(axis=1)
+    assign = np.empty(n, dtype=np.int64)
+    min_d2 = np.empty(n)
+    rows = max(1, block_elems // k // gemm_align) * gemm_align
+    for lo in range(0, n, rows):
+        block = slice(lo, min(lo + rows, n))
+        m = block.stop - lo
+        yb = y[block]
+        if m % gemm_align:
+            yb = np.zeros((m - m % gemm_align + gemm_align, y.shape[1]))
+            yb[:m] = y[block]
+        prod = np.ascontiguousarray((centroids @ yb.T)[:, :m].T)
+        d2 = (sq_y[block, None] + cc) - 2.0 * prod
+        np.maximum(d2, 0.0, out=d2)
+        best = d2.argmin(axis=1)
+        assign[block] = best
+        min_d2[block] = d2[np.arange(m), best]
+    return assign, min_d2
+
+
+def reference_hyperplane_partition(points, hyperplanes, margin, r_min):
+    """Hyperplane slicing with every plane's distances taken over all rows
+    at once, (points - point) @ unit normal, as the plane-by-plane kernel
+    replaced."""
+    dists = np.stack([(points - h.point) @ (h.normal / np.linalg.norm(h.normal))
+                      for h in hyperplanes], axis=1)
+    kept = (np.abs(dists) >= margin).all(axis=1)
+    pattern = (dists >= 0).astype(np.int64) @ (1 << np.arange(len(hyperplanes)))
+    assignment = np.full(points.shape[0], -1, dtype=np.int64)
+    clusters = []
+    for pat in range(1 << len(hyperplanes)):
+        members = np.flatnonzero(kept & (pattern == pat))
+        if members.size >= r_min:
+            assignment[members] = len(clusters)
+            clusters.append(members)
+    return Partition(assignment=assignment, clusters=clusters, centroids=None,
+                     provenance="hyperplane", k=len(clusters), margin=margin,
+                     hyperplanes=list(hyperplanes))

@@ -7,9 +7,10 @@ from metafew.cli import main
 from metafew.data import load_dataset
 from metafew.errors import ConfigError
 from metafew.evaluation import read_report_csv
-from metafew.ioutil import default_workers
+from metafew.ioutil import default_workers, stable_rng
 from metafew.metalearn import MetaConfig, initial_model, maml_predict, protonet_predict
 from metafew.network import load_checkpoint, params_flatten
+from metafew.partition import load_partition, pixel_partition
 from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
                            read_task_manifest)
 
@@ -87,6 +88,18 @@ def test_partition_writes_files_and_reruns_identically(tmp_path, dataset):
     assert main(args) == 0
     after = [digest(f) for f in sorted(tmp_path.glob("parts_0*.part"))] + [digest(manifest)]
     assert before == after
+
+def test_pixel_partitions_differ_and_each_reproduces(tmp_path, dataset):
+    # partition i is k-means on raw inputs seeded with stable_rng(seed, i)
+    assert main(["partition", f"data={dataset}", f"out_prefix={tmp_path / 'px'}",
+                 "method=pixel", "P=2", "k=6", "seed=9"]) == 0
+    parts = [load_partition(tmp_path / f"px_00{i}.part") for i in range(2)]
+    assert not np.array_equal(parts[0].assignment, parts[1].assignment)
+    ds = load_dataset(dataset)
+    for i, part in enumerate(parts):
+        assert part.seed == 9 and part.source_space == "raw"
+        again = pixel_partition(ds, 6, seed=stable_rng(9, i))
+        assert np.array_equal(part.assignment, again.assignment)
 
 def test_partition_random_ignores_embeddings(tmp_path):
     raw_only = tmp_path / "raw.csv"

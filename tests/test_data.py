@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,26 @@ def test_distinct_load_diagnostics(tmp_path):
     truncated.write_bytes(b"EMB1" + b"\x00" * 5)
     with pytest.raises(DataError, match="truncated"):
         load_dataset(truncated)
+
+
+@pytest.mark.parametrize("block", ["raw", "embeddings"])
+def test_emb1_cut_inside_a_float_block(tmp_path, block):
+    ds = small_dataset()
+    path = tmp_path / "cut.emb1"
+    save_dataset(ds, path)
+    raw_end = 21 + ds.raw.nbytes
+    cut = (21 + ds.raw.nbytes // 2 if block == "raw"
+           else raw_end + ds.embeddings.nbytes // 2)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(DataError, match=re.escape(f"{path}: truncated payload")):
+        load_dataset(path)
+
+def test_emb1_header_larger_than_file_is_truncated_payload(tmp_path):
+    # the payload size is checked against the file before it is allocated
+    path = tmp_path / "huge.emb1"
+    path.write_bytes(b"EMB1" + struct.pack("<IIIIB", 2**32 - 1, 2**20, 0, 0, 0))
+    with pytest.raises(DataError, match="truncated payload"):
+        load_dataset(path)
 
 
 # -- splitting ------------------------------------------------------------------

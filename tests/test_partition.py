@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import metafew
 import metafew.partition as partition_module
-from helpers import brute_force_two_means, scaled_objective
+from helpers import (brute_force_two_means, reference_assign,
+                     reference_hyperplane_partition, scaled_objective)
 from metafew.data import DataSet, synth_mixture
-from metafew.errors import ConfigError, DataError, InfeasibleError
+from metafew.errors import ConfigError, DataError, InfeasibleError, ShapeError
 from metafew.partition import (Hyperplane, Partition, generate_hyperplane_partitions,
                                generate_partitions, hyperplane_partition, kmeans,
                                load_partition, partition_by_hyperplanes,
@@ -104,15 +105,21 @@ def test_no_empty_clusters_on_adversarial_instances():
         part.validate()
 
 # k=250 makes the default block 262 rows, a width at which an unpadded
-# product rounds differently at 1 and 2 OpenBLAS threads
+# product rounds differently at 1 and 2 OpenBLAS threads; 2000 rows leave
+# the hyperplane pass a last block of 976, which is padded to 1024
 BITS_SCRIPT = """
 import hashlib
 import numpy as np
-from metafew.partition import kmeans
-pts = np.random.default_rng(0).standard_normal((2000, 16))
+from metafew.partition import (kmeans, nearest_centroids, partition_by_hyperplanes,
+                               sample_hyperplanes)
+rng = np.random.default_rng(0)
+pts = rng.standard_normal((2000, 16))
 part = kmeans(pts, 250, seed=1, max_iter=30)
-print(hashlib.sha256(part.assignment.tobytes()
-                     + part.objective_trace.tobytes()).hexdigest())
+near = nearest_centroids(pts, part.centroids, rng.uniform(0.5, 1.0, 16))
+planes = sample_hyperplanes(pts, 3, rng)
+hyper = partition_by_hyperplanes(pts, planes, margin=0.2, r_min=5)
+print(hashlib.sha256(part.assignment.tobytes() + part.objective_trace.tobytes()
+                     + near.tobytes() + hyper.assignment.tobytes()).hexdigest())
 """
 
 
@@ -137,6 +144,58 @@ def test_kmeans_bits_independent_of_block_size(monkeypatch):
         part = kmeans(pts, 250, seed=1, max_iter=30)
         assert np.array_equal(part.assignment, ref.assignment)
         assert part.objective_trace.tobytes() == ref.objective_trace.tobytes()
+
+def assign_cases():
+    """(y, centroids) pairs: random rows; rows and centroids with repeats,
+    whose distance rounds to <= 0 on several centroids at once; and
+    integer-valued ones, whose repeats are exactly 0 apart."""
+    rng = np.random.default_rng(5)
+    for trial in range(12):
+        n, d = int(rng.integers(1, 700)), int(rng.integers(1, 20))
+        k = int(rng.integers(1, min(n, 60) + 1))
+        y = rng.standard_normal((n, d)) * rng.uniform(0.01, 3, d)
+        if trial % 3:
+            y[rng.integers(0, n, n // 2)] = y[0]
+        centroids = y[rng.choice(n, k, replace=False)].copy()
+        if trial % 3 and k > 1:
+            centroids[rng.integers(0, k, k // 2)] = centroids[0]
+        if trial % 4 == 3:
+            y, centroids = np.round(y), np.round(centroids)
+        yield y, centroids
+
+def test_assign_equals_six_pass_reference_at_any_block_size(monkeypatch):
+    clamped = 0
+    for y, centroids in assign_cases():
+        sq_y = (y * y).sum(axis=1)
+        want, want_d2 = reference_assign(y, sq_y, centroids)
+        clamped += int((want_d2 == 0.0).sum())
+        for elems in (1, 64 * 7, 1 << 12, 1 << 16):
+            monkeypatch.setattr(partition_module, "BLOCK_ELEMS", elems)
+            got, got_d2 = partition_module._assign(y, sq_y, centroids)
+            assert np.array_equal(got, want)
+            assert got_d2.tobytes() == want_d2.tobytes()
+    assert clamped > 100  # the minimum <= 0 path ran
+
+def test_assign_clamps_a_nonpositive_minimum_to_first_index_and_plus_zero():
+    # a point on two equal centroids rounds to <= 0 on both; as with every
+    # entry clamped first, the lower index wins at +0.0 (a -0.0 would too)
+    y = np.array([[0.1, 0.7, -0.3], [2.0, 2.0, 2.0]])
+    centroids = np.array([[5.0, 5.0, 5.0], y[0], y[0], y[1]])
+    assign, min_d2 = partition_module._assign(y, (y * y).sum(axis=1), centroids)
+    assert assign.tolist() == [1, 3]
+    assert min_d2.tolist() == [0.0, 0.0] and not np.signbit(min_d2).any()
+
+def test_member_means_have_the_bits_of_per_cluster_means():
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 64):
+        for n, k in ((9, 3), (3000, 40)):
+            y = rng.standard_normal((n, d)) * 100 + rng.uniform(-50, 50, d)
+            y[rng.integers(0, n, n // 3)] = -0.0
+            assign = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+            assign[: n // 2] = 0  # one large cluster
+            want = np.stack([y[assign == c].mean(axis=0) for c in range(k)])
+            got = partition_module._member_means(np.ascontiguousarray(y.T), assign, k)
+            assert got.tobytes() == want.tobytes()
 
 @pytest.mark.parametrize("seed", range(5))
 def test_small_instances_match_brute_force_local_optima(seed):
@@ -240,6 +299,44 @@ def test_infeasible_margin_reports_kept_fraction():
     pts = rng.standard_normal((50, 2))
     with pytest.raises(InfeasibleError, match="%"):
         hyperplane_partition(pts, 4, margin=50.0, r_min=2, seed=47, retry_cap=5)
+
+def test_hyperplane_slicing_equals_all_rows_reference(monkeypatch):
+    # row counts are multiples of 64: the all-rows product of the reference
+    # rounds the rows of a last partial group of 4 its own way
+    rng = np.random.default_rng(70)
+    for trial in range(8):
+        n, d, h = 64 * int(rng.integers(1, 40)), int(rng.integers(1, 40)), 3
+        pts = rng.standard_normal((n, d)) * rng.uniform(0.1, 3, d)
+        planes = sample_hyperplanes(pts, h, rng)
+        if trial % 2:  # axis planes through integer points: many points on a plane
+            pts = np.round(pts)
+            planes = [Hyperplane(np.eye(d)[j % d] * (j + 1), pts[int(rng.integers(n))])
+                      for j in range(h)]
+        # a margin met exactly by one of the last rows, which close the last
+        # block of every plane after the first
+        on_margin = [float(abs(signed_distance(planes[j], pts[r])))
+                     for j in (0, h - 1) for r in (int(rng.integers(n)), n - 1, n - 2, n - 3)]
+        for margin in [0.0, 0.3] + on_margin:
+            want = reference_hyperplane_partition(pts, planes, margin, r_min=3)
+            for rows in (64, 256, 1024, 4096):
+                monkeypatch.setattr(partition_module, "SLICE_ROWS", rows)
+                got = partition_by_hyperplanes(pts, planes, margin, r_min=3)
+                assert np.array_equal(got.assignment, want.assignment)
+                assert len(got.clusters) == len(want.clusters)
+                for a, b in zip(got.clusters, want.clusters):
+                    assert np.array_equal(a, b)
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hyperplane_slicing_rejects_non_finite_points(bad):
+    pts = np.random.default_rng(71).standard_normal((300, 4))
+    pts[17, 2] = bad
+    plane = Hyperplane(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4))
+    with pytest.raises(DataError, match="non-finite"):
+        partition_by_hyperplanes(pts, [plane], margin=0.1, r_min=1)
+    with pytest.raises(DataError, match="non-finite"):
+        hyperplane_partition(pts, 2, margin=0.1, r_min=1, seed=0, pool=[plane])
+    with pytest.raises(ShapeError, match="plane dim"):
+        partition_by_hyperplanes(pts[:, :3], [plane], margin=0.1, r_min=1)
 
 def test_pool_based_generation():
     ds = synth_mixture(5, 30, 4, 3, noise=0.3, seed=48)
