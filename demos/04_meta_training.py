@@ -32,8 +32,7 @@ _, first = grad_through_adaptation(net, (task.train_x, task.train_y),
                                    (task.query_x, task.query_y),
                                    inner_lr=0.05, inner_steps=5, first_order=True)
 def norm(g):
-    return float(np.sqrt(sum((l.weights ** 2).sum() + (l.bias ** 2).sum()
-                             for l in g.layers)))
+    return float(np.sqrt((g.vector ** 2).sum()))
 print(f"query loss after 5 inner steps: {loss:.4f}")
 print(f"|full meta-gradient| {norm(full):.4f} vs |first-order| {norm(first):.4f}")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .metalearn import build_maml_model, sgd_in_place
-from .network import Layer, ModelParams, forward, params_stack, softmax
+from .network import ModelParams, forward, softmax
 from .partition import Partition, nearest_centroids
 from .tasks import Task
 
@@ -168,15 +168,16 @@ def mlp_dropout_fit(train_embs: np.ndarray, train_labels: np.ndarray, n_classes:
     tasks, batch, d = x.shape
     bound1 = np.sqrt(6.0 / (d + hidden))
     bound2 = np.sqrt(6.0 / (hidden + n_classes))
-    w1 = np.empty((tasks, d, hidden))
-    w2 = np.empty((tasks, hidden, n_classes))
+    params = ModelParams.zeros(((d, hidden, "relu"), (hidden, n_classes, "identity")),
+                               (tasks,))
+    (w1, b1), (w2, b2) = ((layer.weights, layer.bias) for layer in params.layers)
     for r, w1_task, w2_task in zip(rngs, w1, w2):
         w1_task[...] = r.uniform(-bound1, bound1, size=(d, hidden))
         w2_task[...] = r.uniform(-bound2, bound2, size=(hidden, n_classes))
-    b1 = np.zeros((tasks, hidden))
-    b2 = np.zeros((tasks, n_classes))
     keep = 1.0 - dropout
-    # per-step hidden-layer buffers, reused across steps
+    # per-step gradient and hidden-layer buffers, reused across steps
+    grads = ModelParams(np.empty_like(params.vector), params.spec)
+    (gw1, gb1), (gw2, gb2) = ((layer.weights, layer.bias) for layer in grads.layers)
     z1, hd, gh = (np.empty((tasks, batch, hidden)) for _ in range(3))
     mask = np.empty_like(z1) if dropout > 0.0 else None
     for _ in range(steps):
@@ -191,22 +192,19 @@ def mlp_dropout_fit(train_embs: np.ndarray, train_labels: np.ndarray, n_classes:
         logits = hd @ w2
         logits += b2[:, None, :]
         g = (softmax(logits) - y) / batch
-        gw2 = hd.swapaxes(1, 2) @ g
-        gb2 = g.sum(axis=-2)
+        np.matmul(hd.swapaxes(1, 2), g, out=gw2)
+        g.sum(axis=-2, out=gb2)
         np.matmul(g, w2.swapaxes(1, 2), out=gh)
         if dropout > 0.0:
             gh *= mask
         gh *= z1 > 0
-        gw1 = x.swapaxes(1, 2) @ gh
-        gb1 = gh.sum(axis=-2)
+        np.matmul(x.swapaxes(1, 2), gh, out=gw1)
+        gh.sum(axis=-2, out=gb1)
         if not np.isfinite(logits).all():
             raise NumericError("mlp fit diverged")
-        for param, grad in ((w1, gw1), (b1, gb1), (w2, gw2), (b2, gb2)):
-            grad *= lr
-            param -= grad
-    params = ModelParams([Layer(_unstack(w1, stack), _unstack(b1, stack), "relu"),
-                          Layer(_unstack(w2, stack), _unstack(b2, stack), "identity")])
-    return MLPModel(params, dropout)
+        grads.vector *= lr
+        params.vector -= grads.vector
+    return MLPModel(ModelParams(_unstack(params.vector, stack), params.spec), dropout)
 
 
 def mlp_dropout_predict(model: MLPModel, query_embs: np.ndarray) -> np.ndarray:
@@ -287,6 +285,7 @@ def train_from_scratch(task: Task, rng: np.random.Generator | list[np.random.Gen
     stack = task.train_x.shape[:-2]
     models = [build_maml_model(task.d_in, task.n_way, r, hidden)
               for r in _task_rngs(rng, stack)]
-    params = params_stack(models) if stack else models[0]
+    params = (ModelParams(np.stack([m.vector for m in models]), models[0].spec)
+              if stack else models[0])
     del models  # the stack holds copies; keep one set of weights alive
     return forward(sgd_in_place(params, task, lr, steps), task.query_x).argmax(axis=-1)

@@ -278,7 +278,7 @@ def save_dataset(ds: DataSet, path, config_text: str | None = None) -> None:
             write_config_trailer(fh, config_text)
 
 
-def _load_emb1(fh, path) -> tuple[DataSet, str | None]:
+def _load_emb1(fh, path) -> DataSet:
     """Read an open EMB1 file: the float blocks go straight into their
     arrays, and only the tail after them is read as bytes."""
     head = fh.read(21)
@@ -324,10 +324,10 @@ def _load_emb1(fh, path) -> tuple[DataSet, str | None]:
         split = np.frombuffer(blob, dtype=np.uint8, count=n, offset=pos).copy()
         pos = end
     try:
-        config = read_config_trailer(blob, pos)
+        read_config_trailer(blob, pos)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return DataSet(raw, embeddings, labels, attributes, split), config
+    return DataSet(raw, embeddings, labels, attributes, split)
 
 
 # -- CSV format -------------------------------------------------------------
@@ -409,11 +409,14 @@ def save_dataset_csv(ds: DataSet, path) -> None:
 
 
 def load_dataset(path, format: str = "auto") -> DataSet:
-    ds, _ = load_dataset_with_config(path, format)
-    return ds
+    """Read an EMB1 or CSV dataset. An EMB1 config trailer, if present,
+    must be well formed; its text is not returned.
 
-
-def load_dataset_with_config(path, format: str = "auto") -> tuple[DataSet, str | None]:
+    A float block whose largest magnitude M could overflow a squared
+    distance is a DataError: over d columns such a sum is at most 4*d*M**2,
+    and M may not exceed sqrt(max_float / (8*d)), which keeps that bound
+    a factor of two below overflow for rounding (about 4.7e153 at d=1).
+    NaN entries are left to the finiteness checks of the kernels."""
     if format not in ("auto", "emb1", "csv"):
         raise ConfigError(f"unknown dataset format {format!r}")
     if format == "auto":
@@ -422,5 +425,17 @@ def load_dataset_with_config(path, format: str = "auto") -> tuple[DataSet, str |
         format = "emb1" if magic == DATASET_MAGIC else "csv"
     if format == "emb1":
         with open(path, "rb") as fh:
-            return _load_emb1(fh, path)
-    return _load_csv(path), None
+            ds = _load_emb1(fh, path)
+    else:
+        ds = _load_csv(path)
+    for name, block in (("raw", ds.raw), ("embeddings", ds.embeddings)):
+        if block is None or block.size == 0:
+            continue
+        # max and min, not abs: no temporary the size of the block
+        top = max(block.max(), -block.min())
+        limit = np.sqrt(np.finfo(np.float64).max / (8 * block.shape[1]))
+        if top > limit:
+            raise DataError(f"{path}: {name} block has an entry of magnitude "
+                            f"{top:.3g}; above {limit:.3g}, squared distances over "
+                            f"its {block.shape[1]} columns could overflow")
+    return ds

@@ -11,10 +11,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .ioutil import stable_rng
-from .network import (Layer, ModelParams, _backward, _forward_cached, _mean_xent,
+from .network import (ModelParams, _backward, _forward_cached, _mean_xent,
                       apply_adam, apply_sgd, forward, grad_through_adaptation,
-                      init_adam, init_mlp, log_softmax, params_allfinite,
-                      params_task_mean, xent_loss_grad)
+                      init_adam, init_mlp, log_softmax, xent_loss_grad)
 from .tasks import Task, stack_tasks
 
 DEFAULT_HIDDEN = (64, 64)
@@ -63,15 +62,19 @@ def build_protonet_model(d_in: int, rng: np.random.Generator,
 def prune_head(params: ModelParams, n_way: int) -> ModelParams:
     """Restrict the classifier head to its first n_way output columns
     (pruning happens before the softmax, renormalizing the rest)."""
-    head = params.layers[-1]
-    if n_way > head.weights.shape[1]:
-        raise ShapeError(f"cannot prune head of width {head.weights.shape[1]} "
-                         f"to {n_way} ways")
-    if n_way == head.weights.shape[1]:
+    d_in, width, act = params.spec[-1]
+    if n_way > width:
+        raise ShapeError(f"cannot prune head of width {width} to {n_way} ways")
+    if n_way == width:
         return params
-    pruned = Layer(head.weights[:, :n_way].copy(), head.bias[:n_way].copy(),
-                   head.activation)
-    return ModelParams([l.copy() for l in params.layers[:-1]] + [pruned])
+    pruned = ModelParams.zeros(params.spec[:-1] + ((d_in, n_way, act),),
+                               params.task_shape)
+    body = params.vector.shape[-1] - (d_in + 1) * width  # the layers before the head
+    pruned.vector[..., :body] = params.vector[..., :body]
+    head = params.layers[-1]
+    pruned.layers[-1].weights[...] = head.weights[..., :n_way]
+    pruned.layers[-1].bias[...] = head.bias[..., :n_way]
+    return pruned
 
 
 # -- meta-training -----------------------------------------------------------------
@@ -106,10 +109,12 @@ def meta_train(cfg: MetaConfig, task_stream: Iterator[Task], init_params: ModelP
             losses, grads = loss_grad(params, stack_tasks(tasks))
         except (ShapeError, NumericError) as exc:
             raise type(exc)(f"meta-iteration {it}: {exc}") from None
-        if not (np.isfinite(losses).all() and params_allfinite(grads)):
+        if not (np.isfinite(losses).all() and np.isfinite(grads.vector).all()):
             raise NumericError(f"meta-iteration {it}: non-finite loss/gradient")
-        params, state = apply_adam(params, params_task_mean(grads), state)
-        if not params_allfinite(params):
+        # the sum times 1/B: np.mean divides by B, which rounds differently
+        mean = ModelParams((1.0 / len(tasks)) * grads.vector.sum(axis=0), grads.spec)
+        params, state = apply_adam(params, mean, state)
+        if not np.isfinite(params.vector).all():
             raise NumericError(f"meta-iteration {it}: non-finite parameters")
         if log_cb is not None:
             val = None
@@ -148,11 +153,8 @@ def sgd_in_place(params: ModelParams, task: Task, inner_lr: float,
     in place; each step has the bits of apply_sgd. Returns params."""
     for _ in range(steps):
         _, g = xent_loss_grad(params, task.train_x, task.train_y)
-        for layer, grad in zip(params.layers, g.layers):
-            grad.weights *= -inner_lr
-            grad.bias *= -inner_lr
-            layer.weights += grad.weights
-            layer.bias += grad.bias
+        g.vector *= -inner_lr
+        params.vector += g.vector
         del g  # free it before the next step's gradient
     return params
 
@@ -220,13 +222,9 @@ def protonet_loss_grad(params: ModelParams,
     d_eq = -2.0 * (eq * g.sum(axis=-1, keepdims=True) - g @ protos)
     d_protos = 2.0 * (g.swapaxes(-1, -2) @ eq - protos * g.sum(axis=-2)[..., None])
     d_es = s @ (d_protos / s.sum(axis=-2)[..., None])
-    grads_q = _backward(params, pre_q, acts_q, d_eq)
-    grads_s = _backward(params, pre_s, acts_s, d_es)
-    total = ModelParams([
-        Layer(a.weights + b.weights, a.bias + b.bias, a.activation)
-        for a, b in zip(grads_q.layers, grads_s.layers)
-    ])
-    return _mean_xent(logp, y), total
+    grads = _backward(params, pre_q, acts_q, d_eq)
+    grads.vector += _backward(params, pre_s, acts_s, d_es).vector
+    return _mean_xent(logp, y), grads
 
 
 def initial_model(cfg: MetaConfig, d_in: int) -> ModelParams:

@@ -6,17 +6,23 @@ taken through inner SGD adaptation is computed exactly (second-order
 terms included) with Hessian-vector products, so no general autodiff
 graph is needed.
 
+A model's parameters are one flat vector, so optimizer steps, finiteness
+checks and task means are single array operations; its layers are views
+into that vector.
+
 The forward, backward and Hessian-vector passes take either one task's
 2-d batch (n, d) or a stack of B tasks (B, n, d). Stacked passes carry a
-leading task axis through every array: per-task weights (B, in, out) and
-biases (B, out), or a single model broadcast over the stack. Each task in
-a stack gets the same bits as it would alone.
+leading task axis through every array: per-task parameter vectors (B, P),
+whose layer views are weights (B, in, out) and biases (B, out), or a
+single model broadcast over the stack. Each task in a stack gets the same
+bits as it would alone.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,53 +38,82 @@ CHECKPOINT_MAGIC = b"CMP1"
 
 @dataclass
 class Layer:
-    weights: np.ndarray  # (in_dim, out_dim)
-    bias: np.ndarray     # (out_dim,)
+    weights: np.ndarray  # (*task_shape, in_dim, out_dim)
+    bias: np.ndarray     # (*task_shape, out_dim)
     activation: str = "identity"
 
-    def copy(self) -> "Layer":
-        return Layer(self.weights.copy(), self.bias.copy(), self.activation)
 
-
-@dataclass
 class ModelParams:
-    """A stack of dense layers; also reused as the container for gradients
-    and optimizer moment tensors (same shapes, same layer order)."""
+    """A stack of dense layers as one float64 vector of shape
+    (*task_shape, P) in the order W0, b0, W1, b1, ..., each weight matrix
+    row-major; spec holds each layer's (in_dim, out_dim, activation).
+    Gradients use the same container and spec. layers are Layer views
+    into the vector, so writing to them writes the vector."""
 
-    layers: list[Layer]
+    def __init__(self, vector: np.ndarray, spec):
+        self.spec = tuple(spec)
+        if vector.shape[-1:] != (_param_count(self.spec),):
+            raise ShapeError(f"parameter vector of shape {vector.shape} for "
+                             f"{_param_count(self.spec)} parameters")
+        self.vector = vector
+
+    @classmethod
+    def zeros(cls, spec, task_shape: tuple[int, ...] = ()) -> "ModelParams":
+        spec = tuple(spec)
+        return cls(np.zeros(tuple(task_shape) + (_param_count(spec),)), spec)
+
+    @cached_property
+    def layers(self) -> list[Layer]:
+        task, layers, pos = self.task_shape, [], 0
+        for d_in, d_out, act in self.spec:
+            w = self.vector[..., pos:pos + d_in * d_out].reshape(*task, d_in, d_out)
+            pos += d_in * d_out
+            layers.append(Layer(w, self.vector[..., pos:pos + d_out], act))
+            pos += d_out
+        return layers
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].weights.shape[-2]
+        return self.spec[0][0]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].weights.shape[-1]
+        return self.spec[-1][1]
 
     @property
     def task_shape(self) -> tuple[int, ...]:
         """() for one model, (B,) for a stack of B per-task models."""
-        return self.layers[0].weights.shape[:-2]
-
-    def dims(self) -> list[tuple[int, int]]:
-        return [layer.weights.shape for layer in self.layers]
+        return self.vector.shape[:-1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams([layer.copy() for layer in self.layers])
+        return ModelParams(self.vector.copy(), self.spec)
 
     def validate(self) -> None:
-        for i, layer in enumerate(self.layers):
-            if layer.activation not in ACTIVATIONS:
-                raise ContractError(f"layer {i}: unknown activation {layer.activation!r}")
-            if layer.weights.ndim != 2 or layer.bias.shape != (layer.weights.shape[1],):
-                raise ShapeError(f"layer {i}: weights {layer.weights.shape} / bias {layer.bias.shape}")
-            if i > 0 and self.layers[i - 1].weights.shape[1] != layer.weights.shape[0]:
-                raise ShapeError(
-                    f"layer {i - 1} out_dim {self.layers[i - 1].weights.shape[1]} "
-                    f"!= layer {i} in_dim {layer.weights.shape[0]}"
-                )
-            if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
-                raise NumericError(f"layer {i}: non-finite parameter entries")
+        """One model (no task axis) of chained layers with known
+        activations and finite entries."""
+        for i, (d_in, _, act) in enumerate(self.spec):
+            if act not in ACTIVATIONS:
+                raise ContractError(f"layer {i}: unknown activation {act!r}")
+            if i > 0 and self.spec[i - 1][1] != d_in:
+                raise ShapeError(f"layer {i - 1} out_dim {self.spec[i - 1][1]} "
+                                 f"!= layer {i} in_dim {d_in}")
+        if self.vector.ndim != 1:
+            raise ShapeError(f"one model expected, got a task stack {self.task_shape}")
+        if not np.isfinite(self.vector).all():
+            raise NumericError("non-finite parameter entries")
+
+
+def _param_count(spec) -> int:
+    return sum(d_in * d_out + d_out for d_in, d_out, _ in spec)
+
+
+def _check_compatible(a: ModelParams, b: ModelParams) -> None:
+    """The layer specs must agree. A task stack on one side may meet a
+    single model on the other, which then broadcasts over the tasks."""
+    if a.spec != b.spec or (a.task_shape and b.task_shape
+                            and a.task_shape != b.task_shape):
+        raise ShapeError(f"parameters differ: {a.task_shape} x {a.spec} vs "
+                         f"{b.task_shape} x {b.spec}")
 
 
 def init_mlp(dims: list[int], rng: np.random.Generator,
@@ -91,110 +126,12 @@ def init_mlp(dims: list[int], rng: np.random.Generator,
         activations = ["relu"] * (len(dims) - 2) + ["identity"]
     if len(activations) != len(dims) - 1:
         raise ShapeError("one activation per layer required")
-    layers = []
-    for d_in, d_out, act in zip(dims[:-1], dims[1:], activations):
+    params = ModelParams.zeros(zip(dims[:-1], dims[1:], activations))
+    for layer in params.layers:
+        d_in, d_out = layer.weights.shape
         bound = np.sqrt(6.0 / (d_in + d_out))
-        w = rng.uniform(-bound, bound, size=(d_in, d_out))
-        layers.append(Layer(w, np.zeros(d_out), act))
-    return ModelParams(layers)
-
-
-# -- elementwise tree arithmetic over ModelParams -------------------------
-
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams([
-        Layer(np.zeros_like(l.weights), np.zeros_like(l.bias), l.activation)
-        for l in params.layers
-    ])
-
-
-def params_add_scaled(params: ModelParams, delta: ModelParams, scale: float) -> ModelParams:
-    """params + scale * delta, elementwise over every layer tensor."""
-    _check_same_shape(params, delta)
-    return ModelParams([
-        Layer(_add_scaled(p.weights, d.weights, scale),
-              _add_scaled(p.bias, d.bias, scale), p.activation)
-        for p, d in zip(params.layers, delta.layers)
-    ])
-
-
-def _add_scaled(p: np.ndarray, d: np.ndarray, scale: float) -> np.ndarray:
-    out = scale * d
-    if out.ndim < p.ndim:  # one delta broadcast over a task stack
-        return p + out
-    out += p  # in place saves a temporary; addition commutes, so same bits
-    return out
-
-
-def params_scale(params: ModelParams, scale: float) -> ModelParams:
-    return ModelParams([
-        Layer(scale * l.weights, scale * l.bias, l.activation) for l in params.layers
-    ])
-
-
-def params_mean(items: list[ModelParams]) -> ModelParams:
-    acc = zeros_like_params(items[0])
-    for item in items:
-        acc = params_add_scaled(acc, item, 1.0)
-    return params_scale(acc, 1.0 / len(items))
-
-
-def params_task_mean(stacked: ModelParams) -> ModelParams:
-    """Mean over the leading task axis. The sum adds the tasks in order, as
-    params_mean does over a list; the two can differ only in the sign of an
-    exact zero."""
-    return params_scale(ModelParams([
-        Layer(l.weights.sum(axis=0), l.bias.sum(axis=0), l.activation)
-        for l in stacked.layers
-    ]), 1.0 / stacked.task_shape[0])
-
-
-def params_stack(models: list[ModelParams]) -> ModelParams:
-    """Per-task models of equal shapes as one stack with a leading task axis."""
-    return ModelParams([
-        Layer(np.stack([m.layers[i].weights for m in models]),
-              np.stack([m.layers[i].bias for m in models]), layer.activation)
-        for i, layer in enumerate(models[0].layers)
-    ])
-
-
-def params_allfinite(params: ModelParams) -> bool:
-    return all(np.isfinite(l.weights).all() and np.isfinite(l.bias).all()
-               for l in params.layers)
-
-
-def params_flatten(params: ModelParams) -> np.ndarray:
-    return np.concatenate([np.concatenate([l.weights.ravel(), l.bias.ravel()])
-                           for l in params.layers])
-
-
-def params_unflatten(vector: np.ndarray, template: ModelParams) -> ModelParams:
-    layers, pos = [], 0
-    for l in template.layers:
-        wn, bn = l.weights.size, l.bias.size
-        w = vector[pos:pos + wn].reshape(l.weights.shape)
-        b = vector[pos + wn:pos + wn + bn].reshape(l.bias.shape)
-        layers.append(Layer(w.copy(), b.copy(), l.activation))
-        pos += wn + bn
-    if pos != vector.size:
-        raise ShapeError(f"vector length {vector.size} != parameter count {pos}")
-    return ModelParams(layers)
-
-
-def _check_same_shape(a: ModelParams, b: ModelParams) -> None:
-    """Per-model layer shapes must agree. A task stack on one side may meet
-    a single model on the other, which then broadcasts over the tasks."""
-    if len(a.layers) != len(b.layers):
-        raise ShapeError(f"layer counts differ: {len(a.layers)} vs {len(b.layers)}")
-    for i, (la, lb) in enumerate(zip(a.layers, b.layers)):
-        if la.weights.shape == lb.weights.shape and la.bias.shape == lb.bias.shape:
-            continue
-        if ((la.weights.ndim == 2 or lb.weights.ndim == 2)
-                and la.weights.shape[-2:] == lb.weights.shape[-2:]
-                and la.bias.shape[-1:] == lb.bias.shape[-1:]):
-            continue
-        raise ShapeError(f"layer {i} shapes differ: {la.weights.shape}/{la.bias.shape} "
-                         f"vs {lb.weights.shape}/{lb.bias.shape}")
+        layer.weights[...] = rng.uniform(-bound, bound, size=(d_in, d_out))
+    return params
 
 
 # -- forward / loss / gradients --------------------------------------------
@@ -240,15 +177,17 @@ def _forward_cached(params: ModelParams, inputs: np.ndarray):
 
 
 def _backward(params: ModelParams, pre: list, acts: list, g: np.ndarray) -> ModelParams:
-    """Parameter gradients of sum(output * g), given a cached forward pass."""
-    grads = [None] * len(params.layers)
-    for l in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[l]
+    """Parameter gradients of sum(output * g), given a cached forward pass,
+    one vector per task of the batch."""
+    grads = ModelParams(np.empty(g.shape[:-2] + params.vector.shape[-1:]), params.spec)
+    for l in range(len(params.spec) - 1, -1, -1):
+        layer, out = params.layers[l], grads.layers[l]
         d = g * _activation_mask(pre[l], layer.activation)
-        grads[l] = Layer(_t(acts[l]) @ d, d.sum(axis=-2), layer.activation)
+        np.matmul(_t(acts[l]), d, out=out.weights)
+        d.sum(axis=-2, out=out.bias)
         if l > 0:
             g = d @ _t(layer.weights)
-    return ModelParams(grads)
+    return grads
 
 
 def forward(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -325,7 +264,7 @@ def hvp_xent(params: ModelParams, inputs: np.ndarray, onehot_labels: np.ndarray,
     piecewise constant, so its tangent vanishes almost everywhere.
     """
     y = check_onehot(onehot_labels)
-    _check_same_shape(params, direction)
+    _check_compatible(params, direction)
     pre, acts = _forward_cached(params, inputs)
     masks = [_activation_mask(z, layer.activation) for z, layer in zip(pre, params.layers)]
     r_acts = [np.zeros_like(acts[0])]
@@ -342,17 +281,21 @@ def hvp_xent(params: ModelParams, inputs: np.ndarray, onehot_labels: np.ndarray,
     g = (p - y) / batch
     rp = p * (r_acts[-1] - (p * r_acts[-1]).sum(axis=-1, keepdims=True))
     rg = rp / batch
-    out = [None] * len(params.layers)
-    for l in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[l]
+    out = ModelParams(np.empty(rg.shape[:-2] + params.vector.shape[-1:]), params.spec)
+    for l in range(len(params.spec) - 1, -1, -1):
+        layer, hv = params.layers[l], out.layers[l]
         d = g * masks[l]
         rd = rg * masks[l]
-        out[l] = Layer(_t(r_acts[l]) @ d + _t(acts[l]) @ rd, rd.sum(axis=-2),
-                       layer.activation)
+        # summed in a fresh array, then copied in: an in-place add into a
+        # strided (B, in, out) view runs several times slower
+        w = _t(r_acts[l]) @ d
+        w += _t(acts[l]) @ rd
+        hv.weights[...] = w
+        rd.sum(axis=-2, out=hv.bias)
         if l > 0:
             g = d @ _t(layer.weights)
             rg = rd @ _t(layer.weights) + d @ _t(direction.layers[l].weights)
-    return ModelParams(out)
+    return out
 
 
 def grad_through_adaptation(params: ModelParams,
@@ -382,21 +325,22 @@ def grad_through_adaptation(params: ModelParams,
     theta = params
     for step in range(inner_steps):
         loss, g = xent_loss_grad(theta, tx, ty)
-        if not (np.isfinite(loss).all() and params_allfinite(g)):
+        if not (np.isfinite(loss).all() and np.isfinite(g.vector).all()):
             raise NumericError(f"non-finite inner loss/gradient at adaptation step {step}")
         trajectory.append(theta)
         theta = apply_sgd(theta, g, inner_lr)
     query_loss, v = xent_loss_grad(theta, qx, qy)
     del theta  # the backward pass needs only the trajectory
-    if not (np.isfinite(query_loss).all() and params_allfinite(v)):
+    if not (np.isfinite(query_loss).all() and np.isfinite(v.vector).all()):
         raise NumericError(f"non-finite query loss/gradient after step {inner_steps}")
     if first_order or inner_steps == 0 or inner_lr == 0.0:
         return query_loss, v
     for step in range(inner_steps - 1, -1, -1):
         # popping frees each step's parameters once they are used
-        hv = hvp_xent(trajectory.pop(), tx, ty, v)
-        v = params_add_scaled(v, hv, -inner_lr)
-        if not params_allfinite(v):
+        hv = hvp_xent(trajectory.pop(), tx, ty, v).vector
+        hv *= -inner_lr
+        v.vector += hv  # v is this call's own; the bits of apply_sgd(v, hv, inner_lr)
+        if not np.isfinite(v.vector).all():
             raise NumericError(f"non-finite meta-gradient while backing through step {step}")
     return query_loss, v
 
@@ -404,8 +348,14 @@ def grad_through_adaptation(params: ModelParams,
 # -- optimizers -------------------------------------------------------------
 
 def apply_sgd(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
-    """params - lr * grads."""
-    return params_add_scaled(params, grads, -lr)
+    """params - lr * grads, computed as params + (-lr) * grads (the same
+    bits). A single model meets a gradient stack by broadcasting."""
+    _check_compatible(params, grads)
+    out = -lr * grads.vector
+    if out.ndim < params.vector.ndim:  # one step broadcast over a task stack
+        return ModelParams(params.vector + out, params.spec)
+    out += params.vector  # in place saves a temporary; addition commutes, so same bits
+    return ModelParams(out, params.spec)
 
 
 @dataclass
@@ -415,8 +365,8 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    m: ModelParams | None = None
-    v: ModelParams | None = None
+    m: np.ndarray | None = None  # moment vectors, shaped like the parameters'
+    v: np.ndarray | None = None
     step: int = 0
 
 
@@ -425,7 +375,7 @@ def init_adam(params: ModelParams, lr: float, beta1: float = 0.9,
     if lr <= 0:
         raise ContractError("learning rate must be positive")
     return OptimizerState("adam", lr, beta1, beta2, epsilon,
-                          zeros_like_params(params), zeros_like_params(params), 0)
+                          np.zeros_like(params.vector), np.zeros_like(params.vector), 0)
 
 
 def apply_adam(params: ModelParams, grads: ModelParams,
@@ -433,53 +383,40 @@ def apply_adam(params: ModelParams, grads: ModelParams,
     """One bias-corrected Adam step; returns fresh params and state."""
     if state.kind != "adam":
         raise ContractError(f"optimizer state kind {state.kind!r} is not adam")
-    _check_same_shape(params, grads)
-    _check_same_shape(params, state.m)
+    _check_compatible(params, grads)
+    if state.m.shape != params.vector.shape:
+        raise ShapeError(f"optimizer moments {state.m.shape} != parameters "
+                         f"{params.vector.shape}")
     t = state.step + 1
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    new_layers, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params.layers, grads.layers, state.m.layers, state.v.layers):
-        mw = state.beta1 * m.weights + (1 - state.beta1) * g.weights
-        mb = state.beta1 * m.bias + (1 - state.beta1) * g.bias
-        vw = state.beta2 * v.weights + (1 - state.beta2) * g.weights ** 2
-        vb = state.beta2 * v.bias + (1 - state.beta2) * g.bias ** 2
-        w = p.weights - state.lr * (mw / c1) / (np.sqrt(vw / c2) + state.epsilon)
-        b = p.bias - state.lr * (mb / c1) / (np.sqrt(vb / c2) + state.epsilon)
-        new_layers.append(Layer(w, b, p.activation))
-        new_m.append(Layer(mw, mb, p.activation))
-        new_v.append(Layer(vw, vb, p.activation))
-    new_state = OptimizerState(state.kind, state.lr, state.beta1, state.beta2,
-                               state.epsilon, ModelParams(new_m), ModelParams(new_v), t)
-    return ModelParams(new_layers), new_state
+    g = grads.vector
+    m = state.beta1 * state.m + (1 - state.beta1) * g
+    v = state.beta2 * state.v + (1 - state.beta2) * g ** 2
+    w = params.vector - state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+    return ModelParams(w, params.spec), replace(state, m=m, v=v, step=t)
 
 
 # -- checkpoint I/O ---------------------------------------------------------
 
 def save_checkpoint(params: ModelParams, path, config_text: str | None = None) -> None:
     """Versioned binary checkpoint: magic, layer count, per-layer
-    (in_dim, out_dim, activation code), then row-major little-endian
-    float64 weights and bias per layer."""
+    (in_dim, out_dim, activation code), then the parameter vector as
+    row-major little-endian float64 (weights and bias of each layer)."""
     params.validate()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(params.layers)))
-        for layer in params.layers:
-            d_in, d_out = layer.weights.shape
-            fh.write(struct.pack("<III", d_in, d_out, _ACT_CODE[layer.activation]))
-        for layer in params.layers:
-            fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+        fh.write(struct.pack("<I", len(params.spec)))
+        for d_in, d_out, act in params.spec:
+            fh.write(struct.pack("<III", d_in, d_out, _ACT_CODE[act]))
+        fh.write(np.ascontiguousarray(params.vector, dtype="<f8").tobytes())
         if config_text is not None:
             write_config_trailer(fh, config_text)
 
 
 def load_checkpoint(path) -> ModelParams:
-    params, _ = load_checkpoint_with_config(path)
-    return params
-
-
-def load_checkpoint_with_config(path) -> tuple[ModelParams, str | None]:
+    """Read a save_checkpoint file. A config trailer, if present, must be
+    well formed; its text is not returned."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -492,29 +429,24 @@ def load_checkpoint_with_config(path) -> tuple[ModelParams, str | None]:
 
     need(4, 4, "layer count")
     (n_layers,) = struct.unpack_from("<I", blob, 4)
+    if n_layers == 0:
+        raise DataError(f"{path}: checkpoint has no layers")
     pos = 8
     need(pos, 12 * n_layers, "layer table")
-    headers = []
+    spec = []
     for _ in range(n_layers):
         d_in, d_out, act = struct.unpack_from("<III", blob, pos)
         if act not in _ACT_NAME:
             raise DataError(f"{path}: unknown activation code {act}")
-        headers.append((d_in, d_out, _ACT_NAME[act]))
+        spec.append((d_in, d_out, _ACT_NAME[act]))
         pos += 12
-    layers = []
-    for i, (d_in, d_out, act) in enumerate(headers):
-        wn = d_in * d_out * 8
-        need(pos, wn, f"layer {i} weights")
-        w = np.frombuffer(blob, dtype="<f8", count=d_in * d_out, offset=pos).reshape(d_in, d_out)
-        pos += wn
-        need(pos, d_out * 8, f"layer {i} bias")
-        b = np.frombuffer(blob, dtype="<f8", count=d_out, offset=pos)
-        pos += d_out * 8
-        layers.append(Layer(w.astype(np.float64), b.astype(np.float64), act))
+    size = _param_count(spec)
+    need(pos, 8 * size, "parameter vector")
+    vector = np.frombuffer(blob, dtype="<f8", count=size, offset=pos).astype(np.float64)
     try:
-        config = read_config_trailer(blob, pos)
+        read_config_trailer(blob, pos + 8 * size)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    params = ModelParams(layers)
+    params = ModelParams(vector, spec)
     params.validate()
-    return params, config
+    return params

@@ -503,6 +503,9 @@ def partition_from_labels(ds: DataSet, split: str | None = None) -> Partition:
     if ds.labels is None:
         raise DataError("partition_from_labels requires labels")
     rows = np.arange(ds.n) if split is None else ds.split_indices(split)
+    if rows.size == 0:
+        raise DataError(f"{'the dataset' if split is None else f'split {split!r}'} "
+                        f"has no labeled rows")
     assignment = np.full(ds.n, -1, dtype=np.int64)
     values = np.unique(ds.labels[rows])
     clusters = []

@@ -1,6 +1,6 @@
 """Independent oracles shared by the test suite: central finite
-differences, exhaustive 2-cluster k-means enumeration, a scalar Adam
-trace, per-query kNN and per-point cluster matching, and the earlier
+differences, models built from layer lists and their list mean,
+exhaustive 2-cluster k-means enumeration, a scalar Adam trace, per-query kNN and per-point cluster matching, and the earlier
 forms of the k-means assignment and hyperplane slicing kernels that pin
 their bits. These never call the code paths they check."""
 
@@ -8,26 +8,43 @@ import itertools
 
 import numpy as np
 
-from metafew.network import ModelParams, params_flatten, params_unflatten
+from metafew.network import ModelParams
 from metafew.partition import Partition
 
 
 def finite_difference_grad(loss_fn, params: ModelParams, h: float = 1e-5) -> ModelParams:
     """Central finite differences of a scalar loss over every parameter."""
-    theta = params_flatten(params)
+    theta = params.vector
     grad = np.zeros_like(theta)
     for j in range(theta.size):
         up, down = theta.copy(), theta.copy()
         up[j] += h
         down[j] -= h
-        grad[j] = (loss_fn(params_unflatten(up, params))
-                   - loss_fn(params_unflatten(down, params))) / (2 * h)
-    return params_unflatten(grad, params)
+        grad[j] = (loss_fn(ModelParams(up, params.spec))
+                   - loss_fn(ModelParams(down, params.spec))) / (2 * h)
+    return ModelParams(grad, params.spec)
 
 
 def relative_error(a: ModelParams, b: ModelParams) -> float:
-    va, vb = params_flatten(a), params_flatten(b)
+    va, vb = a.vector, b.vector
     return float(np.linalg.norm(va - vb) / max(np.linalg.norm(vb), 1e-12))
+
+
+def model_from_layers(layers) -> ModelParams:
+    """A model whose vector holds each Layer's weights then bias, in order."""
+    return ModelParams(
+        np.concatenate([np.concatenate([np.ravel(l.weights), np.ravel(l.bias)])
+                        for l in layers]),
+        [(*np.shape(l.weights), l.activation) for l in layers])
+
+
+def params_mean(items: list[ModelParams]) -> ModelParams:
+    """Mean of single models as a list: a running sum from zero, scaled by
+    1/len, as meta-training once averaged its per-task gradients."""
+    acc = np.zeros_like(items[0].vector)
+    for item in items:
+        acc = acc + item.vector
+    return ModelParams((1.0 / len(items)) * acc, items[0].spec)
 
 
 def scaled_objective(points, assignment, scaling=None):

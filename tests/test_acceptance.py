@@ -70,7 +70,7 @@ def test_criterion_1_gradient_correctness():
                                activations=["relu", "relu"])
             for p in (net, emb_net):
                 for layer in p.layers:
-                    layer.bias = rng.uniform(-0.3, 0.3, layer.bias.shape)
+                    layer.bias[...] = rng.uniform(-0.3, 0.3, layer.bias.shape)
             x = rng.standard_normal((4, d_in))
             y = np.eye(n_way)[rng.integers(0, n_way, 4)]
 

@@ -150,7 +150,9 @@ def test_chunk_learners_get_each_task_its_own_generator(mixed_tasks):
 # run in an empty directory: relative paths keep the echoed config, and so
 # the report bytes, independent of where it runs
 # the partition clusters the meta-train rows at k=125, so cluster-match
-# assigns every evaluated meta-test row through nearest_centroids
+# assigns every evaluated meta-test row through nearest_centroids; a k=8
+# partition feeds a few stacked meta-iterations of each learner (second
+# order for maml), whose gradients are strided (B, in, out) views
 BITS_SCRIPT = """
 import hashlib, io, contextlib
 from metafew.cli import main
@@ -166,9 +168,16 @@ with contextlib.redirect_stdout(io.StringIO()):
                      f"learner={learner}", "tasks=8", "n_way=5", "k_shot=20",
                      "q_queries=5", "seed=4", "mlp_steps=60",
                      "partition=km_000.part"]) == 0
-for learner in LEARNERS:
-    with open(f"{learner}.csv", "rb") as fh:
-        print(learner, hashlib.sha256(fh.read()).hexdigest())
+    assert main(["partition", "data=ds.emb1", "out_prefix=km8", "method=kmeans",
+                 "k=8", "P=1", "seed=5"]) == 0
+    for learner in ("maml", "protonet"):
+        assert main(["meta-train", "data=ds.emb1", "partitions=km8_manifest.txt",
+                     f"out={learner}.ckpt", f"learner={learner}",
+                     "meta_iterations=3", "task_batch_size=4", "q_queries=5",
+                     "seed=6"]) == 0
+for name in [f"{learner}.csv" for learner in LEARNERS] + ["maml.ckpt", "protonet.ckpt"]:
+    with open(name, "rb") as fh:
+        print(name, hashlib.sha256(fh.read()).hexdigest())
 """
 
 
@@ -185,4 +194,4 @@ def test_reports_independent_of_blas_threads(tmp_path):
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         digests.append(run.stdout.split())
-    assert len(digests[0]) == 10 and digests[0] == digests[1]
+    assert len(digests[0]) == 14 and digests[0] == digests[1]

@@ -1,15 +1,16 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from metafew.cli import main
-from metafew.data import load_dataset
+from metafew.data import load_dataset, save_dataset
 from metafew.errors import ConfigError
 from metafew.evaluation import read_report_csv
 from metafew.ioutil import default_workers, stable_rng
 from metafew.metalearn import MetaConfig, initial_model, maml_predict, protonet_predict
-from metafew.network import load_checkpoint, params_flatten
+from metafew.network import load_checkpoint
 from metafew.partition import load_partition, pixel_partition
 from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
                            read_task_manifest)
@@ -152,7 +153,7 @@ def test_meta_train_zero_iterations_writes_init(tmp_path, dataset, partitions):
     params = load_checkpoint(ckpt)
     cfg = MetaConfig(learner="maml", n_way=3, seed=13, meta_iterations=0)
     expect = initial_model(cfg, 4)
-    assert np.array_equal(params_flatten(params), params_flatten(expect))
+    assert np.array_equal(params.vector, expect.vector)
 
 def test_meta_train_deterministic_and_resumable(tmp_path, dataset, partitions):
     ckpt = tmp_path / "model.ckpt"
@@ -529,6 +530,44 @@ def test_evaluate_truncated_checkpoint_is_exit_3(tmp_path, dataset, partitions,
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(short) in err
     assert "Traceback" not in err
+
+@pytest.mark.parametrize("command", ["evaluate", "meta-train resume"])
+def test_zero_layer_checkpoint_is_exit_3(tmp_path, dataset, partitions, command,
+                                         capsys):
+    zero = tmp_path / "zero.ckpt"
+    zero.write_bytes(b"CMP1" + struct.pack("<I", 0))
+    args = (eval_args(dataset, tmp_path / "maml.csv", "maml", checkpoint=zero)
+            if command == "evaluate"
+            else meta_train_args(dataset, partitions, zero, resume="true"))
+    capsys.readouterr()
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{zero}: checkpoint has no layers" in err
+    assert "Traceback" not in err
+
+def test_evaluate_on_a_split_without_rows_is_exit_3(tmp_path, capsys):
+    # split_mode=none tags every row meta-train; evaluate defaults to meta-test
+    data = tmp_path / "train_only.emb1"
+    assert main(synth_args(data, split_mode="none")) == 0
+    capsys.readouterr()
+    assert main(eval_args(data, tmp_path / "linear.csv", "linear")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "split 'meta-test' has no labeled rows" in err
+    assert "Traceback" not in err
+
+def test_evaluate_on_embeddings_too_large_for_distances_is_exit_3(tmp_path, capsys):
+    data = tmp_path / "ds.emb1"
+    assert main(synth_args(data, split_mode="none")) == 0
+    args = eval_args(data, tmp_path / "knn.csv", "knn", split="meta-train",
+                     n_way="5", tasks="100", seed="7")
+    assert main(args) == 0
+    ds = load_dataset(data)
+    ds.embeddings *= 1e160
+    save_dataset(ds, data)
+    capsys.readouterr()
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{data}: embeddings block" in err
 
 # each edit rewrites the lines of a saved report that start with the prefix
 BAD_REPORT_LINES = {"row": ("0,", "0,abc1.0"), "seed": ("# seed=", "# seed=x"),

@@ -104,6 +104,25 @@ def test_emb1_header_larger_than_file_is_truncated_payload(tmp_path):
     with pytest.raises(DataError, match="truncated payload"):
         load_dataset(path)
 
+@pytest.mark.parametrize("block", ["raw", "embeddings"])
+@pytest.mark.parametrize("fmt", ["emb1", "csv"])
+def test_load_rejects_magnitudes_that_could_overflow_squared_distances(
+        tmp_path, block, fmt):
+    ds = small_dataset()
+    values = getattr(ds, block)
+    limit = np.sqrt(np.finfo(np.float64).max / (8 * values.shape[1]))
+    path = tmp_path / f"big.{fmt}"
+    save = save_dataset if fmt == "emb1" else save_dataset_csv
+    values[3, 1] = -limit  # the bound itself is accepted, on either sign
+    save(ds, path)
+    assert load_dataset(path).equals(ds)
+    values[3, 1] = np.nextafter(limit, np.inf)
+    save(ds, path)
+    with pytest.raises(DataError, match=re.escape(f"{path}: {block} block has an "
+                                                  f"entry of magnitude")):
+        load_dataset(path)
+
+
 
 # -- splitting ------------------------------------------------------------------
 

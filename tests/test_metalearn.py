@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import finite_difference_grad, relative_error
+from helpers import (finite_difference_grad, model_from_layers, params_mean,
+                     relative_error)
 from metafew.data import synth_mixture
 from metafew.errors import ShapeError
 from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_model,
@@ -9,9 +10,8 @@ from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_mode
                                protonet_classify, protonet_embed,
                                protonet_loss_grad, protonet_predict,
                                protonet_prototypes, prune_head)
-from metafew.network import (Layer, ModelParams, apply_adam, forward,
-                             grad_through_adaptation, init_adam, init_mlp,
-                             params_flatten, params_mean, xent_loss_grad)
+from metafew.network import (Layer, apply_adam, forward, grad_through_adaptation,
+                             init_adam, init_mlp, xent_loss_grad)
 from metafew.partition import generate_partitions, partition_from_labels
 from metafew.tasks import (Task, TaskStreamConfig, make_supervised_task_stream,
                            make_task_stream, sample_supervised_task, stack_tasks)
@@ -44,7 +44,7 @@ def test_meta_train_zero_iterations_returns_init(mixture):
     cfg = MetaConfig(meta_iterations=0, n_way=3, seed=1)
     init = build_maml_model(mixture.d_in, 3, np.random.default_rng(0))
     out = meta_train(cfg, iter(()), init)
-    assert np.array_equal(params_flatten(out), params_flatten(init))
+    assert np.array_equal(out.vector, init.vector)
 
 def test_zero_inner_lr_reduces_to_adam_on_query_loss(mixture):
     rng = np.random.default_rng(111)
@@ -59,7 +59,7 @@ def test_zero_inner_lr_reduces_to_adam_on_query_loss(mixture):
     for _ in range(4):
         _, g = xent_loss_grad(ref, task.query_x, task.query_y)
         ref, state = apply_adam(ref, g, state)
-    assert np.allclose(params_flatten(got), params_flatten(ref))
+    assert np.allclose(got.vector, ref.vector)
 
 def test_meta_training_improves_over_init(mixture):
     parts = generate_partitions(mixture, 4, 10, seed=112)
@@ -95,7 +95,7 @@ def test_meta_train_logs_and_determinism(mixture):
         return out, rows
     a, rows_a = run()
     b, rows_b = run()
-    assert params_flatten(a).tobytes() == params_flatten(b).tobytes()
+    assert a.vector.tobytes() == b.vector.tobytes()
     assert rows_a == rows_b
     assert [r[0] for r in rows_a] == list(range(10))
 
@@ -124,7 +124,7 @@ def test_stacked_meta_train_equals_per_task_reference(mixture, first_order):
             grads.append(g)
         ref_rows.append(float(np.mean(losses)))
         ref, state = apply_adam(ref, params_mean(grads), state)
-    assert params_flatten(got).tobytes() == params_flatten(ref).tobytes()
+    assert got.vector.tobytes() == ref.vector.tobytes()
     assert rows == ref_rows
 
 def test_meta_batch_of_unequal_task_shapes_is_rejected():
@@ -140,7 +140,7 @@ def test_adapt_zero_steps_returns_same_params():
     task = toy_task(rng)
     params = build_maml_model(3, 2, rng)
     out = maml_adapt(params, task, steps=0)
-    assert np.array_equal(params_flatten(out), params_flatten(params))
+    assert np.array_equal(out.vector, params.vector)
 
 def test_adapt_reaches_full_train_accuracy_on_separable_task():
     rng = np.random.default_rng(120)
@@ -154,9 +154,9 @@ def test_adapt_leaves_input_untouched():
     rng = np.random.default_rng(121)
     task = toy_task(rng)
     params = build_maml_model(3, 2, rng)
-    before = params_flatten(params).copy()
+    before = params.vector.copy()
     maml_adapt(params, task, steps=5)
-    assert np.array_equal(params_flatten(params), before)
+    assert np.array_equal(params.vector, before)
 
 def test_adapt_rejects_width_mismatch():
     rng = np.random.default_rng(122)
@@ -196,10 +196,10 @@ def test_stacked_maml_adapt_and_predict_equal_per_task_calls(B):
 # -- prototypical networks -------------------------------------------------------------
 
 def test_embed_identity_and_relu():
-    ident = ModelParams([Layer(np.eye(3), np.zeros(3), "identity")])
+    ident = model_from_layers([Layer(np.eye(3), np.zeros(3), "identity")])
     x = np.array([[1.0, -2.0, 0.0]])
     assert np.array_equal(protonet_embed(ident, x), x)
-    relu = ModelParams([Layer(np.eye(3), np.zeros(3), "relu")])
+    relu = model_from_layers([Layer(np.eye(3), np.zeros(3), "relu")])
     assert np.array_equal(protonet_embed(relu, -np.ones((2, 3))), np.zeros((2, 3)))
 
 def test_embed_matches_hand_computation():
@@ -262,7 +262,7 @@ def test_protonet_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(130 + seed)
     net = build_protonet_model(3, rng, hidden=(5, 4))
     for layer in net.layers:
-        layer.bias = rng.uniform(-0.3, 0.3, layer.bias.shape)
+        layer.bias[...] = rng.uniform(-0.3, 0.3, layer.bias.shape)
     task = toy_task(rng, n_way=3, k=2, q=3, d=3)
     _, grads = protonet_loss_grad(net, task)
 
@@ -314,7 +314,7 @@ def test_protonet_meta_train_equals_per_task_reference(mixture):
                               for t in tasks[it * 3:(it + 1) * 3]))
         ref_rows.append(float(np.mean(losses)))
         ref, state = apply_adam(ref, params_mean(list(grads)), state)
-    assert params_flatten(got).tobytes() == params_flatten(ref).tobytes()
+    assert got.vector.tobytes() == ref.vector.tobytes()
     assert rows == ref_rows
 
 def test_protonet_batch_of_unequal_task_shapes_is_rejected():
@@ -329,7 +329,7 @@ def test_protonet_zero_iterations_returns_init(mixture):
     cfg = MetaConfig(learner="protonet", meta_iterations=0, task_batch_size=1, seed=4)
     init = build_protonet_model(mixture.d_in, np.random.default_rng(5))
     out = meta_train(cfg, iter(()), init)
-    assert np.array_equal(params_flatten(out), params_flatten(init))
+    assert np.array_equal(out.vector, init.vector)
 
 def test_protonet_training_beats_chance_and_is_deterministic(mixture):
     parts = generate_partitions(mixture, 3, 10, seed=131)
@@ -342,7 +342,7 @@ def test_protonet_training_beats_chance_and_is_deterministic(mixture):
         return meta_train(cfg, make_task_stream(stream_cfg, parts, mixture), init)
     trained = run()
     trained2 = run()
-    assert params_flatten(trained).tobytes() == params_flatten(trained2).tobytes()
+    assert trained.vector.tobytes() == trained2.vector.tobytes()
 
     eval_cfg = TaskStreamConfig(tasks=60, n_way=5, k_shot=1, q_queries=5, seed=134)
     tasks = list(make_supervised_task_stream(eval_cfg, mixture))

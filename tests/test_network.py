@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_difference_grad, relative_error, scalar_adam_trace
+from helpers import (finite_difference_grad, model_from_layers, relative_error,
+                     scalar_adam_trace)
 from metafew.errors import ContractError, NumericError, ShapeError
 from metafew.network import (Layer, ModelParams, apply_adam, apply_sgd,
                              backprop_from_output, forward,
                              grad_through_adaptation, hvp_xent, init_adam,
-                             init_mlp, load_checkpoint, params_add_scaled,
-                             params_flatten, params_mean, params_task_mean,
-                             save_checkpoint, softmax, xent_loss, xent_loss_grad,
-                             zeros_like_params)
+                             init_mlp, load_checkpoint, save_checkpoint, softmax,
+                             xent_loss, xent_loss_grad)
 
 
 def random_net(rng, dims=None, activations=None):
@@ -24,7 +23,7 @@ def random_net(rng, dims=None, activations=None):
     # random biases keep relu pre-activations off the kink, where finite
     # differences and the a.e. derivative disagree
     for layer in params.layers:
-        layer.bias = rng.uniform(-0.3, 0.3, layer.bias.shape)
+        layer.bias[...] = rng.uniform(-0.3, 0.3, layer.bias.shape)
     return params
 
 
@@ -37,12 +36,12 @@ def random_batch(rng, d_in, n_classes, rows):
 # -- forward ---------------------------------------------------------------
 
 def test_forward_identity_layer_passes_input_through():
-    params = ModelParams([Layer(np.eye(3), np.zeros(3), "identity")])
+    params = model_from_layers([Layer(np.eye(3), np.zeros(3), "identity")])
     x = np.array([[1.0, -2.0, 0.5], [0.0, 4.0, -1.0]])
     assert np.array_equal(forward(params, x), x)
 
 def test_forward_relu_clips_negatives():
-    params = ModelParams([Layer(np.eye(2), np.zeros(2), "relu")])
+    params = model_from_layers([Layer(np.eye(2), np.zeros(2), "relu")])
     out = forward(params, np.array([[-1.0, 2.0]]))
     assert np.array_equal(out, [[0.0, 2.0]])
 
@@ -81,14 +80,14 @@ def test_forward_rejects_width_mismatch():
 
 def test_uniform_logits_loss_is_log_n():
     for n in (2, 3, 7):
-        params = ModelParams([Layer(np.zeros((3, n)), np.zeros(n), "identity")])
+        params = model_from_layers([Layer(np.zeros((3, n)), np.zeros(n), "identity")])
         x = np.ones((4, 3))
         y = np.eye(n)[np.arange(4) % n]
         assert xent_loss(params, x, y) == pytest.approx(np.log(n), rel=1e-12)
 
 def test_two_class_zero_logit_gradient():
     # logits (0,0), label class 0 -> loss ln 2, dL/dlogits = (-0.5, +0.5)/B
-    params = ModelParams([Layer(np.zeros((1, 2)), np.zeros(2), "identity")])
+    params = model_from_layers([Layer(np.zeros((1, 2)), np.zeros(2), "identity")])
     x = np.ones((1, 1))
     y = np.array([[1.0, 0.0]])
     loss, grads = xent_loss_grad(params, x, y)
@@ -121,7 +120,7 @@ def test_loss_invariant_under_joint_class_permutation(seed):
     params = random_net(rng, dims=[3, n])
     x, y = random_batch(rng, 3, n, 4)
     perm = rng.permutation(n)
-    permuted = ModelParams([Layer(params.layers[0].weights[:, perm],
+    permuted = model_from_layers([Layer(params.layers[0].weights[:, perm],
                                   params.layers[0].bias[perm], "identity")])
     assert xent_loss(params, x, y) == pytest.approx(
         xent_loss(permuted, x, y[:, perm]), rel=1e-12)
@@ -139,13 +138,11 @@ def test_hvp_matches_finite_difference_of_gradient(seed):
                            activations=[l.activation for l in params.layers])
     hv = hvp_xent(params, x, y, direction)
     h = 1e-6
-    up = params_add_scaled(params, direction, h)
-    down = params_add_scaled(params, direction, -h)
+    up = ModelParams(params.vector + h * direction.vector, params.spec)
+    down = ModelParams(params.vector - h * direction.vector, params.spec)
     _, gu = xent_loss_grad(up, x, y)
     _, gd = xent_loss_grad(down, x, y)
-    fd = params_add_scaled(gu, gd, -1.0)
-    fd = ModelParams([Layer(l.weights / (2 * h), l.bias / (2 * h), l.activation)
-                      for l in fd.layers])
+    fd = ModelParams((gu.vector - gd.vector) / (2 * h), params.spec)
     assert relative_error(hv, fd) <= 1e-4
 
 def test_meta_grad_zero_steps_equals_query_gradient():
@@ -166,7 +163,7 @@ def test_meta_grad_zero_lr_equals_zero_steps():
     la, ga = grad_through_adaptation(params, (tx, ty), (qx, qy), 0.0, 5)
     lb, gb = grad_through_adaptation(params, (tx, ty), (qx, qy), 0.1, 0)
     assert la == lb
-    assert np.array_equal(params_flatten(ga), params_flatten(gb))
+    assert np.array_equal(ga.vector, gb.vector)
 
 def test_one_step_meta_grad_matches_analytic_softmax_hessian():
     # single identity layer, one input: weight row and bias add into the
@@ -174,7 +171,7 @@ def test_one_step_meta_grad_matches_analytic_softmax_hessian():
     # (diag(p) - p p^T)/B tiled over the four parameter blocks.
     rng = np.random.default_rng(8)
     w = rng.standard_normal((1, 2))
-    params = ModelParams([Layer(w, rng.standard_normal(2), "identity")])
+    params = model_from_layers([Layer(w, rng.standard_normal(2), "identity")])
     tx = np.ones((1, 1))
     ty = np.array([[1.0, 0.0]])
     qx, qy = np.ones((1, 1)), np.array([[0.0, 1.0]])
@@ -186,9 +183,9 @@ def test_one_step_meta_grad_matches_analytic_softmax_hessian():
     _, g_train = xent_loss_grad(params, tx, ty)
     adapted = apply_sgd(params, g_train, lr)
     _, gq = xent_loss_grad(adapted, qx, qy)
-    gq_vec = params_flatten(gq)
+    gq_vec = gq.vector
     expect = (np.eye(4) - lr * h_full) @ gq_vec
-    assert params_flatten(meta) == pytest.approx(expect, rel=1e-10)
+    assert meta.vector == pytest.approx(expect, rel=1e-10)
 
 @pytest.mark.parametrize("steps,first_order", [(1, False), (3, False), (2, True)])
 def test_meta_grad_against_finite_differences(steps, first_order):
@@ -238,8 +235,7 @@ def test_adaptation_rejects_negative_arguments():
 
 def task_slice(params, b):
     """Task b of a stacked ModelParams, as a single model."""
-    return ModelParams([Layer(l.weights[b], l.bias[b], l.activation)
-                        for l in params.layers])
+    return ModelParams(params.vector[b], params.spec)
 
 
 def stacked_batches(rng, tasks, d_in, n_classes, train_rows=6, query_rows=9):
@@ -261,14 +257,10 @@ def test_stacked_meta_grad_equals_per_task_calls(tasks, first_order):
     losses, stacked = grad_through_adaptation(params, train, query, 0.2, 3,
                                               first_order=first_order)
     assert losses.shape == (tasks,)
-    singles = []
     for b, (tb, qb) in enumerate(per_task):
         loss, g = grad_through_adaptation(params, tb, qb, 0.2, 3, first_order=first_order)
         assert losses[b] == loss
-        assert np.array_equal(params_flatten(task_slice(stacked, b)), params_flatten(g))
-        singles.append(g)
-    assert np.array_equal(params_flatten(params_task_mean(stacked)),
-                          params_flatten(params_mean(singles)))
+        assert np.array_equal(task_slice(stacked, b).vector, g.vector)
 
 def test_stacked_meta_grad_matches_finite_differences():
     rng = np.random.default_rng(75)
@@ -294,29 +286,25 @@ def test_stacked_hvp_and_gradient_equal_per_task_calls():
     # per-task models and directions, as in the inner loop of adaptation
     models = [random_net(rng, dims=[4, 6, 3]) for _ in range(3)]
     dirs = [random_net(rng, dims=[4, 6, 3]) for _ in range(3)]
-    stack = lambda ps: ModelParams([
-        Layer(np.stack([p.layers[i].weights for p in ps]),
-              np.stack([p.layers[i].bias for p in ps]), params.layers[i].activation)
-        for i in range(len(params.layers))])
+    stack = lambda ps: ModelParams(np.stack([p.vector for p in ps]), params.spec)
     losses, grads = xent_loss_grad(stack(models), x, y)
     hv = hvp_xent(stack(models), x, y, stack(dirs))
     for b, ((tx, ty), _) in enumerate(per_task):
         loss, g = xent_loss_grad(models[b], tx, ty)
         assert losses[b] == loss
-        assert np.array_equal(params_flatten(task_slice(grads, b)), params_flatten(g))
-        assert np.array_equal(params_flatten(task_slice(hv, b)),
-                              params_flatten(hvp_xent(models[b], tx, ty, dirs[b])))
+        assert np.array_equal(task_slice(grads, b).vector, g.vector)
+        assert np.array_equal(task_slice(hv, b).vector,
+                              hvp_xent(models[b], tx, ty, dirs[b]).vector)
 
 def test_stacked_inputs_must_match_task_stack():
     rng = np.random.default_rng(77)
-    models = ModelParams([Layer(np.zeros((3, 4, 2)), np.zeros((3, 2)), "identity")])
+    models = ModelParams.zeros([(4, 2, "identity")], (3,))
     with pytest.raises(ShapeError):
         forward(models, np.zeros((2, 5, 4)))
     with pytest.raises(ShapeError):
         forward(models, np.zeros((5, 4)))
     with pytest.raises(ShapeError):
-        params_add_scaled(models, ModelParams([Layer(np.zeros((2, 4, 2)),
-                                                     np.zeros((2, 2)), "identity")]), 1.0)
+        apply_sgd(models, ModelParams.zeros([(4, 2, "identity")], (2,)), 1.0)
 
 def test_stacked_labels_must_be_onehot():
     params = random_net(np.random.default_rng(79), dims=[2, 2])
@@ -330,8 +318,8 @@ def test_xent_gradient_is_backprop_of_its_cotangent():
     x, y = random_batch(rng, 4, 3, 7)
     _, g = xent_loss_grad(params, x, y)
     cotangent = (softmax(forward(params, x)) - y) / x.shape[0]
-    assert np.array_equal(params_flatten(g),
-                          params_flatten(backprop_from_output(params, x, cotangent)))
+    assert np.array_equal(g.vector,
+                          backprop_from_output(params, x, cotangent).vector)
 
 def test_non_finite_input_reports_step_index():
     rng = np.random.default_rng(10)
@@ -355,14 +343,14 @@ def test_non_finite_stacked_input_reports_step_index():
 # -- optimizers ---------------------------------------------------------------
 
 def test_sgd_examples():
-    params = ModelParams([Layer(np.array([[0.0]]), np.zeros(1), "identity")])
-    grads = ModelParams([Layer(np.array([[-6.0]]), np.zeros(1), "identity")])
+    params = model_from_layers([Layer(np.array([[0.0]]), np.zeros(1), "identity")])
+    grads = model_from_layers([Layer(np.array([[-6.0]]), np.zeros(1), "identity")])
     assert apply_sgd(params, grads, 0.0).layers[0].weights[0, 0] == 0.0
     # w=0, grad=-6, lr=0.25 -> w'=1.5 (gradient step on L=(w-3)^2 at w=0)
     assert apply_sgd(params, grads, 0.25).layers[0].weights[0, 0] == 1.5
-    zero = zeros_like_params(params)
+    zero = ModelParams.zeros(params.spec)
     out = apply_sgd(params, zero, 0.7)
-    assert np.array_equal(params_flatten(out), params_flatten(params))
+    assert np.array_equal(out.vector, params.vector)
 
 @given(st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=4, max_size=4),
        st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=4, max_size=4),
@@ -373,8 +361,8 @@ def test_sgd_step_and_inverse_step_return_exactly(wk, gk, lr):
     # composes associatively with its inverse
     w = np.array([v / 1024.0 for v in wk]).reshape(2, 2)
     g = np.array([v / 1024.0 for v in gk]).reshape(2, 2)
-    params = ModelParams([Layer(w, np.zeros(2), "identity")])
-    grads = ModelParams([Layer(g, np.zeros(2), "identity")])
+    params = model_from_layers([Layer(w, np.zeros(2), "identity")])
+    grads = model_from_layers([Layer(g, np.zeros(2), "identity")])
     back = apply_sgd(apply_sgd(params, grads, lr), grads, -lr)
     assert np.array_equal(back.layers[0].weights, w)
 
@@ -382,24 +370,24 @@ def test_adam_zero_grads_zero_moments_is_identity():
     rng = np.random.default_rng(11)
     params = random_net(rng, dims=[3, 2])
     state = init_adam(params, lr=0.001)
-    out, state2 = apply_adam(params, zeros_like_params(params), state)
-    assert np.array_equal(params_flatten(out), params_flatten(params))
+    out, state2 = apply_adam(params, ModelParams.zeros(params.spec), state)
+    assert np.array_equal(out.vector, params.vector)
     assert state2.step == 1
 
 def test_adam_first_step_magnitude_is_learning_rate():
-    params = ModelParams([Layer(np.array([[0.0]]), np.zeros(1), "identity")])
-    grads = ModelParams([Layer(np.array([[2.0]]), np.zeros(1), "identity")])
+    params = model_from_layers([Layer(np.array([[0.0]]), np.zeros(1), "identity")])
+    grads = model_from_layers([Layer(np.array([[2.0]]), np.zeros(1), "identity")])
     state = init_adam(params, lr=0.001)
     out, _ = apply_adam(params, grads, state)
     # bias-corrected first step ~ -lr * sign(g)
     assert out.layers[0].weights[0, 0] == pytest.approx(-0.001, rel=1e-6)
 
 def test_adam_matches_scalar_oracle_over_two_steps():
-    params = ModelParams([Layer(np.array([[0.3]]), np.zeros(1), "identity")])
+    params = model_from_layers([Layer(np.array([[0.3]]), np.zeros(1), "identity")])
     state = init_adam(params, lr=0.01)
     gs = [1.7, -0.4]
     for g in gs:
-        grads = ModelParams([Layer(np.array([[g]]), np.zeros(1), "identity")])
+        grads = model_from_layers([Layer(np.array([[g]]), np.zeros(1), "identity")])
         params, state = apply_adam(params, grads, state)
     trace = scalar_adam_trace(gs, w0=0.3, lr=0.01)
     assert params.layers[0].weights[0, 0] == pytest.approx(trace[-1], abs=1e-15)
@@ -422,7 +410,7 @@ def test_checkpoint_round_trip_exact(tmp_path):
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     assert [l.activation for l in loaded.layers] == [l.activation for l in params.layers]
-    assert np.array_equal(params_flatten(loaded), params_flatten(params))
+    assert np.array_equal(loaded.vector, params.vector)
 
 def test_checkpoint_preserves_relu_final_layer(tmp_path):
     rng = np.random.default_rng(14)
