@@ -22,7 +22,8 @@ from .errors import ConfigError, DataError, MetafewError, NumericError
 from .evaluation import (compare, evaluate, format_comparison, read_report_csv,
                          task_set_fingerprint, write_comparison_csv,
                          write_report_csv)
-from .ioutil import fmt_float, stable_rng
+from .ioutil import (body_lines, fmt_float, naming, read_text, stable_rng,
+                     write_text)
 from .learners import LEARNER_IDS, make_learner
 from .metalearn import MetaConfig, initial_model, meta_train
 from .network import load_checkpoint, save_checkpoint
@@ -171,16 +172,14 @@ def load_config(command: str, config_path: str | None,
     cfg = {k: spec[1] for k, spec in schema.items()}
     pairs = []
     if config_path:
-        if not os.path.exists(config_path):
-            raise ConfigError(f"config file not found: {config_path}")
-        with open(config_path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{config_path}:{lineno}: expected key=value")
-                pairs.append(tuple(line.split("=", 1)))
+        try:
+            text = read_text(config_path)
+        except (DataError, OSError) as exc:
+            raise ConfigError(f"bad config file: {exc}") from None
+        for lineno, line in body_lines(text):
+            if "=" not in line:
+                raise ConfigError(f"{config_path}:{lineno}: expected key=value")
+            pairs.append(tuple(line.split("=", 1)))
     for item in overrides:
         body = item[2:] if item.startswith("--") else item
         if "=" not in body:
@@ -294,11 +293,8 @@ def cmd_partition(cfg: dict, echo: str) -> int:
     for part, path in zip(parts, paths):
         save_partition(part, path)
     manifest = cfg["out_prefix"] + "_manifest.txt"
-    with open(manifest, "w") as fh:
-        for line in echo.splitlines():
-            fh.write(f"# {line}\n")
-        for path in paths:
-            fh.write(os.path.basename(path) + "\n")
+    write_text(manifest, echo.splitlines(),
+               "".join(os.path.basename(path) + "\n" for path in paths))
     print(f"wrote {len(paths)} partitions + {manifest}")
     return 0
 
@@ -307,16 +303,13 @@ def load_partition_manifest(path: str, n_rows: int) -> list:
     """The partitions a manifest lists; each must cover the dataset's rows."""
     base = os.path.dirname(os.path.abspath(path))
     parts = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for _, line in body_lines(read_text(path)):
+        with naming(path):
             part = load_partition(os.path.join(base, line))
             if part.n != n_rows:
                 raise DataError(f"{line}: partition of {part.n} points, but the "
                                 f"dataset has {n_rows} rows")
-            parts.append(part)
+        parts.append(part)
     if not parts:
         raise DataError(f"{path}: no partition files listed")
     return parts
@@ -410,13 +403,10 @@ def cmd_meta_train(cfg: dict, echo: str) -> int:
                         val_fn=val_fn, val_every=cfg["val_every"])
     save_checkpoint(params, cfg["out"], config_text=echo)
     if cfg["log"]:
-        with open(cfg["log"], "w") as fh:
-            for line in echo.splitlines():
-                fh.write(f"# {line}\n")
-            fh.write("iteration,meta_loss,val_accuracy\n")
-            for it, loss, val in log_rows:
-                fh.write(f"{it},{fmt_float(loss)},"
-                         f"{'' if val is None else fmt_float(val)}\n")
+        write_text(cfg["log"], echo.splitlines(),
+                   "iteration,meta_loss,val_accuracy\n" + "".join(
+                       f"{it},{fmt_float(loss)},{'' if val is None else fmt_float(val)}\n"
+                       for it, loss, val in log_rows))
     print(f"wrote {cfg['out']} after {meta_cfg.meta_iterations} meta-iterations")
     return 0
 
@@ -466,14 +456,7 @@ def cmd_evaluate(cfg: dict, echo: str) -> int:
 def cmd_compare(paths: list[str], cfg: dict, echo: str) -> int:
     if not paths:
         raise ConfigError("compare needs at least one report CSV")
-    reports = []
-    for path in paths:
-        report, summary = read_report_csv(_require_file(path, "report"))
-        mean = fmt_float(report.mean)  # the writer's exact text
-        if summary.get("mean", mean) != mean:
-            raise DataError(f"{path}: stored mean {summary['mean']!r} does not "
-                            f"match its rows")
-        reports.append(report)
+    reports = [read_report_csv(_require_file(path, "report"))[0] for path in paths]
     rows = compare(reports)
     print(format_comparison(rows))
     if cfg["out"]:

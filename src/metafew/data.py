@@ -5,6 +5,7 @@ mixture generator."""
 from __future__ import annotations
 
 import csv
+import io
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .ioutil import fmt_float, read_config_trailer, write_config_trailer
+from .ioutil import (fmt_float, naming, read_config_trailer, read_text,
+                     write_config_trailer, write_text)
 
 SPLITS = ("meta-train", "meta-val", "meta-test")
 _SPLIT_CODE = {name: i for i, name in enumerate(SPLITS)}
@@ -323,11 +325,9 @@ def _load_emb1(fh, path) -> DataSet:
             raise DataError(f"{path}: truncated split tags")
         split = np.frombuffer(blob, dtype=np.uint8, count=n, offset=pos).copy()
         pos = end
-    try:
+    with naming(path):
         read_config_trailer(blob, pos)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    return DataSet(raw, embeddings, labels, attributes, split)
+        return DataSet(raw, embeddings, labels, attributes, split)
 
 
 # -- CSV format -------------------------------------------------------------
@@ -342,46 +342,45 @@ def _header_group(fields: list[str], prefix: str, path) -> list[int]:
 
 
 def _load_csv(path) -> DataSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            fields = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        known = [f for f in fields
-                 if f.startswith(("raw_", "emb_", "attr_")) or f == "label"]
-        if len(known) != len(fields):
-            bad = sorted(set(fields) - set(known))
-            raise DataError(f"{path}: malformed header: unknown columns {bad}")
-        raw_cols = _header_group(fields, "raw_", path)
-        emb_cols = _header_group(fields, "emb_", path)
-        attr_cols = _header_group(fields, "attr_", path)
-        label_col = fields.index("label") if "label" in fields else None
-        if not raw_cols:
-            raise DataError(f"{path}: malformed header: at least one raw_ column required")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(fields):
-                raise DataError(f"{path}:{lineno}: row has {len(row)} fields, "
-                                f"header has {len(fields)}")
-            rows.append(row)
+    reader = csv.reader(io.StringIO(read_text(path)))
+    try:
+        fields = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, header row required") from None
+    known = [f for f in fields
+             if f.startswith(("raw_", "emb_", "attr_")) or f == "label"]
+    if len(known) != len(fields):
+        bad = sorted(set(fields) - set(known))
+        raise DataError(f"{path}: malformed header: unknown columns {bad}")
+    raw_cols = _header_group(fields, "raw_", path)
+    emb_cols = _header_group(fields, "emb_", path)
+    attr_cols = _header_group(fields, "attr_", path)
+    label_col = fields.index("label") if "label" in fields else None
+    if not raw_cols:
+        raise DataError(f"{path}: malformed header: at least one raw_ column required")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(fields):
+            raise DataError(f"{path}:{lineno}: row has {len(row)} fields, "
+                            f"header has {len(fields)}")
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    table = np.array(rows)
     try:
-        raw = table[:, raw_cols].astype(np.float64)
-        embeddings = table[:, emb_cols].astype(np.float64) if emb_cols else None
+        table = np.array(rows).astype(np.float64)
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric value: {exc}") from None
+    raw = table[:, raw_cols]
+    embeddings = table[:, emb_cols] if emb_cols else None
     labels = None
     if label_col is not None:
-        as_float = table[:, label_col].astype(np.float64)
+        as_float = table[:, label_col]
         labels = as_float.astype(np.int32)
         if np.any(labels != as_float) or labels.min() < 0:
             raise DataError(f"{path}: label out of range: labels must be integers >= 0")
     attributes = None
     if attr_cols:
-        vals = table[:, attr_cols].astype(np.float64)
+        vals = table[:, attr_cols]
         if not np.isin(vals, (0.0, 1.0)).all():
             raise DataError(f"{path}: attr_ columns must be 0/1")
         attributes = vals.astype(bool)
@@ -394,18 +393,17 @@ def save_dataset_csv(ds: DataSet, path) -> None:
     if ds.labels is not None:
         header.append("label")
     header += [f"attr_{j}" for j in range(ds.num_attributes)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [fmt_float(v) for v in ds.raw[i]]
-            if ds.embeddings is not None:
-                row += [fmt_float(v) for v in ds.embeddings[i]]
-            if ds.labels is not None:
-                row.append(str(int(ds.labels[i])))
-            if ds.attributes is not None:
-                row += [str(int(v)) for v in ds.attributes[i]]
-            writer.writerow(row)
+    rows = [header]
+    for i in range(ds.n):
+        row = [fmt_float(v) for v in ds.raw[i]]
+        if ds.embeddings is not None:
+            row += [fmt_float(v) for v in ds.embeddings[i]]
+        if ds.labels is not None:
+            row.append(str(int(ds.labels[i])))
+        if ds.attributes is not None:
+            row += [str(int(v)) for v in ds.attributes[i]]
+        rows.append(row)
+    write_text(path, (), "".join(",".join(row) + "\n" for row in rows))
 
 
 def load_dataset(path, format: str = "auto") -> DataSet:

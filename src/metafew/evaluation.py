@@ -11,7 +11,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ioutil import fmt_float, stable_rng
+from .ioutil import (body_lines, fmt_float, header_lines, header_text, naming,
+                     parse_field, read_text, stable_rng, write_text)
 from .tasks import Task, stack_key
 
 Z95 = 1.96
@@ -188,72 +189,62 @@ def format_comparison(rows: list[ComparisonRow]) -> str:
 
 def write_comparison_csv(rows: list[ComparisonRow], path,
                          config_text: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if config_text:
-            for line in config_text.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write("learner,mean,ci95,tasks,overlaps_with\n")
-        for r in rows:
-            fh.write(f"{r.learner_id},{fmt_float(r.mean)},{fmt_float(r.ci95)},"
-                     f"{r.task_count},{';'.join(r.overlaps_with)}\n")
+    body = "learner,mean,ci95,tasks,overlaps_with\n" + "".join(
+        f"{r.learner_id},{fmt_float(r.mean)},{fmt_float(r.ci95)},"
+        f"{r.task_count},{';'.join(r.overlaps_with)}\n" for r in rows)
+    write_text(path, (config_text or "").splitlines(), body)
 
 
 # -- report CSV --------------------------------------------------------------------
 
+def _summary(report: EvalReport) -> dict[str, str]:
+    return {"tasks": str(report.task_count), "mean": fmt_float(report.mean),
+            "ci95": fmt_float(report.ci95)}
+
+
 def write_report_csv(report: EvalReport, path, config_text: str | None = None) -> None:
     """One row per task plus a summary block; floats keep full precision so
     the summary can be recomputed exactly from the rows."""
-    with open(path, "w") as fh:
-        if config_text:
-            for line in config_text.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write(f"# learner={report.learner_id}\n")
-        fh.write(f"# fingerprint={report.fingerprint}\n")
-        fh.write(f"# seed={'' if report.seed is None else report.seed}\n")
-        fh.write("task_index,accuracy\n")
-        for i, a in enumerate(report.accuracies):
-            fh.write(f"{i},{fmt_float(a)}\n")
-        fh.write(f"# summary: tasks={report.task_count} mean={fmt_float(report.mean)} "
-                 f"ci95={fmt_float(report.ci95)}\n")
+    header = (config_text or "").splitlines() + [
+        f"learner={report.learner_id}", f"fingerprint={report.fingerprint}",
+        f"seed={'' if report.seed is None else report.seed}"]
+    summary = " ".join(f"{k}={v}" for k, v in _summary(report).items())
+    body = "task_index,accuracy\n" + "".join(
+        f"{i},{fmt_float(a)}\n" for i, a in enumerate(report.accuracies))
+    write_text(path, header, body + header_text([f"summary: {summary}"]))
 
 
 def read_report_csv(path) -> tuple[EvalReport, dict[str, str]]:
-    """Rebuild a report from its CSV; returns the report and the parsed
-    summary fields for cross-checking. A row whose accuracy is not a number,
-    or a seed header that is not an integer, is a DataError."""
+    """Rebuild a report and its summary fields from its CSV. Rows must hold
+    task_index 0..n-1 in order (n > 0) and accuracies in [0, 1], and the
+    summary must match them."""
+    text = read_text(path)
     meta: dict[str, str] = {}
     summary: dict[str, str] = {}
+    for line in header_lines(text):
+        if line.startswith("summary:"):
+            summary = {key: value for key, _, value in
+                       (item.partition("=") for item in line[len("summary:"):].split())}
+        else:
+            key, _, value = line.partition("=")
+            meta[key] = value
     acc = []
-    seed = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("summary:"):
-                    for item in body[len("summary:"):].split():
-                        key, _, value = item.partition("=")
-                        summary[key] = value
-                else:
-                    key, _, value = body.partition("=")
-                    meta[key] = value
-                    if key == "seed":  # an unseeded report writes it empty
-                        seed = (_report_field(path, lineno, "seed", value, int)
-                                if value else None)
-                continue
-            if line.startswith("task_index"):
-                continue
-            _, _, value = line.partition(",")
-            acc.append(_report_field(path, lineno, "accuracy", value, float))
-    report = EvalReport(np.array(acc), learner_id=meta.get("learner", ""),
-                        fingerprint=meta.get("fingerprint", ""), seed=seed)
+    for lineno, line in body_lines(text):
+        if line.startswith("task_index"):
+            continue
+        index, _, value = line.partition(",")
+        if index != str(len(acc)):
+            raise DataError(f"{path}:{lineno}: task_index {index!r}, expected "
+                            f"{len(acc)}")
+        acc.append(parse_field(f"{path}:{lineno}", "accuracy", value, float))
+    if not acc:
+        raise DataError(f"{path}: no task rows")
+    # an unseeded report writes its seed empty
+    seed = parse_field(path, "seed", meta["seed"], int) if meta.get("seed") else None
+    with naming(path):
+        report = EvalReport(np.array(acc), learner_id=meta.get("learner", ""),
+                            fingerprint=meta.get("fingerprint", ""), seed=seed)
+    if summary != _summary(report):
+        raise DataError(f"{path}: summary {summary} does not match its rows, "
+                        f"which give {_summary(report)}")
     return report, summary
-
-
-def _report_field(path, lineno: int, name: str, text: str, parse):
-    try:
-        return parse(text)
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: bad {name} {text!r}") from None

@@ -26,7 +26,6 @@ class MetaConfig:
     inner_lr: float = 0.05
     task_batch_size: int = 8
     inner_steps_train: int = 5
-    adapt_steps_eval: int = 50
     meta_iterations: int = 1000
     n_way: int = 5
     k_shot: int = 1
@@ -43,7 +42,7 @@ class MetaConfig:
         if min(self.task_batch_size, self.meta_iterations + 1, self.n_way,
                self.k_shot, self.q_queries) < 1:
             raise ConfigError("counts must be positive")
-        if self.inner_steps_train < 0 or self.adapt_steps_eval < 0:
+        if self.inner_steps_train < 0:
             raise ConfigError("step counts must be >= 0")
 
 

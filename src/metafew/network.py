@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, DataError, NumericError, ShapeError
-from .ioutil import read_config_trailer, write_config_trailer
+from .ioutil import naming, read_config_trailer, write_config_trailer
 
 ACTIVATIONS = ("identity", "relu")
 _ACT_CODE = {"identity": 0, "relu": 1}
@@ -443,10 +443,8 @@ def load_checkpoint(path) -> ModelParams:
     size = _param_count(spec)
     need(pos, 8 * size, "parameter vector")
     vector = np.frombuffer(blob, dtype="<f8", count=size, offset=pos).astype(np.float64)
-    try:
+    with naming(path):
         read_config_trailer(blob, pos + 8 * size)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    params = ModelParams(vector, spec)
-    params.validate()
+        params = ModelParams(vector, spec)
+        params.validate()
     return params

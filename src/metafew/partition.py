@@ -6,23 +6,16 @@ from __future__ import annotations
 
 import io
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DataSet
 from .errors import ConfigError, DataError, InfeasibleError, NumericError, ShapeError
-from .ioutil import fmt_float, stable_rng
+from .ioutil import (body_text, fmt_float, header_lines, naming, parse_field,
+                     read_text, stable_rng, write_text)
 
 PROVENANCES = ("kmeans", "hyperplane", "random", "supervised")
-
-# On a partition file read as "\n" + text (a leading literal lets the regex
-# engine scan for it): header lines, which may stand anywhere; the indent of
-# blank and `#` lines, which np.loadtxt would parse; the first body line.
-_HEADER_LINE = re.compile(r"\n[^\S\n]*#(.*)")
-_INDENT_BEFORE_NON_BODY = re.compile(r"\n[^\S\n]+(?=#|\n|$)")
-_BODY_LINE = re.compile(r"\n[^\S\n]*[^#\s]")
 
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-8
@@ -525,22 +518,19 @@ def partition_from_labels(ds: DataSet, split: str | None = None) -> Partition:
 def save_partition(part: Partition, path) -> None:
     """One `index,cluster` line per point; header lines carry provenance,
     k, seed, scaling, and (for hyperplane partitions) margin and planes."""
-    with open(path, "w") as fh:
-        fh.write(f"# provenance={part.provenance}\n")
-        fh.write(f"# n={part.n}\n")
-        fh.write(f"# k={part.k if part.k is not None else len(part.clusters)}\n")
-        fh.write(f"# seed={part.seed if part.seed is not None else ''}\n")
-        fh.write(f"# source_space={part.source_space}\n")
-        if part.scaling is not None:
-            fh.write("# scaling=" + ",".join(fmt_float(v) for v in part.scaling) + "\n")
-        if part.margin is not None:
-            fh.write(f"# margin={fmt_float(part.margin)}\n")
-        for h in part.hyperplanes or []:
-            fh.write("# hyperplane="
-                     + ",".join(fmt_float(v) for v in h.normal) + ";"
-                     + ",".join(fmt_float(v) for v in h.point) + "\n")
-        pairs = np.column_stack([np.arange(part.n), part.assignment]).ravel()
-        fh.write("%d,%d\n" * part.n % tuple(pairs.tolist()))
+    header = [f"provenance={part.provenance}", f"n={part.n}",
+              f"k={part.k if part.k is not None else len(part.clusters)}",
+              f"seed={part.seed if part.seed is not None else ''}",
+              f"source_space={part.source_space}"]
+    if part.scaling is not None:
+        header.append("scaling=" + ",".join(fmt_float(v) for v in part.scaling))
+    if part.margin is not None:
+        header.append(f"margin={fmt_float(part.margin)}")
+    for h in part.hyperplanes or []:
+        header.append("hyperplane=" + ",".join(fmt_float(v) for v in h.normal) + ";"
+                      + ",".join(fmt_float(v) for v in h.point))
+    pairs = np.column_stack([np.arange(part.n), part.assignment]).ravel()
+    write_text(path, header, "%d,%d\n" * part.n % tuple(pairs.tolist()))
 
 
 def load_partition(path, points: np.ndarray | None = None) -> Partition:
@@ -550,19 +540,14 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
     width, and centroids are recomputed as member means.
     The body must list every index 0..n-1 exactly once with a cluster id
     >= -1. A malformed header value is a DataError."""
-    header: dict[str, str] = {}
-    planes: list[Hyperplane] = []
-    with open(path) as fh:
-        text = "\n" + fh.read()
-    for line in _HEADER_LINE.findall(text):
-        key, _, value = line.strip().partition("=")
-        if key == "hyperplane":
-            planes.append(_header_field(path, key, value, _parse_hyperplane))
-        else:
-            header[key] = value
+    text = read_text(path)
+    fields = [line.partition("=")[::2] for line in header_lines(text)]  # (key, value)
+    header = dict(fields)
+    planes = [parse_field(path, key, value, _parse_hyperplane)
+              for key, value in fields if key == "hyperplane"]
 
-    def header_value(key, parse):
-        return _header_field(path, key, header[key], parse) if key in header else None
+    def header_value(key, parse):  # an unset k or seed is written empty
+        return parse_field(path, key, header[key], parse) if header.get(key) else None
 
     pairs = _parse_assignment_lines(path, text)
     n = header_value("n", int)
@@ -575,8 +560,8 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
     idx, cluster = pairs[:, 0], pairs[:, 1]
     if not np.array_equal(np.sort(idx), np.arange(n)):
         raise DataError(f"{path}: point indices must list 0..{n - 1} once each")
-    if (cluster < -1).any():
-        raise DataError(f"{path}: cluster id below -1")
+    if ((cluster < -1) | (cluster >= n)).any():
+        raise DataError(f"{path}: cluster id outside -1..{n - 1}")
     assignment = np.full(n, -1, dtype=np.int64)
     assignment[idx] = cluster
     part = Partition(
@@ -584,12 +569,15 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
         clusters=_clusters_from_assignment(assignment),
         scaling=header_value("scaling", _parse_floats),
         provenance=header.get("provenance", "kmeans"),
-        k=header_value("k", _optional_int),
-        seed=header_value("seed", _optional_int),
+        k=header_value("k", int),
+        seed=header_value("seed", int),
         source_space=header.get("source_space", "embedding"),
         margin=header_value("margin", float),
         hyperplanes=planes or None,
     )
+    bad = [v for v in part.scaling if not 0 < v < np.inf] if part.scaling is not None else []
+    if bad:
+        raise DataError(f"{path}: scaling entry {bad[0]} is not finite and > 0")
     if points is not None:
         if part.source_space != "embedding":
             raise DataError(f"{path}: partition clustered in source_space="
@@ -604,20 +592,9 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
                 raise DataError(f"{path}: hyperplane of dimension {h.normal.size}, "
                                 f"but the points have width {width}")
         part.centroids = np.stack([points[m].mean(axis=0) for m in part.clusters])
-    part.validate()
+    with naming(path):
+        part.validate()
     return part
-
-
-def _header_field(path, key: str, text: str, parse):
-    try:
-        return parse(text)
-    except (ValueError, ShapeError) as exc:
-        raise DataError(f"{path}: bad header field {key}={text!r}: {exc}") from None
-
-
-def _optional_int(text: str) -> int | None:
-    # save_partition writes an unset k or seed as an empty value
-    return int(text) if text else None
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -630,11 +607,10 @@ def _parse_hyperplane(text: str) -> Hyperplane:
 
 
 def _parse_assignment_lines(path, text: str) -> np.ndarray:
-    """The `index,cluster` body lines of a partition file's "\n" + text as an
-    (m, 2) int64 array; `#` lines and blank lines are skipped."""
-    if not _BODY_LINE.search(text):
+    """The `index,cluster` body lines of a partition file as an (m, 2) array."""
+    body = body_text(text)
+    if not body:
         return np.empty((0, 2), dtype=np.int64)
-    body = _INDENT_BEFORE_NON_BODY.sub("\n", text)
     try:
         pairs = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
                            ndmin=2, comments="#")

@@ -12,7 +12,7 @@ import numpy as np
 from .data import DataSet, split_code
 from .errors import (ConfigError, DataError, InfeasibleError, ShapeError,
                      TaskRejected)
-from .ioutil import stable_rng
+from .ioutil import body_lines, parse_field, read_text, stable_rng, write_text
 from .partition import Partition, signed_distance
 
 INPUT_REPRS = ("raw", "embedding")
@@ -352,24 +352,19 @@ def write_task_manifest(tasks: list[Task], path, dataset_ref: str = "",
                         config_text: str | None = None) -> None:
     """Text manifest referencing dataset rows; tasks never embed data.
     Per task: source ids, member indices, permutation, provenance fields."""
-    with open(path, "w") as fh:
-        fh.write(f"# dataset={dataset_ref}\n")
-        if config_text:
-            for line in config_text.splitlines():
-                fh.write(f"# config:{line}\n")
-        fh.write("# fields=index;n;k;q;input_repr;split;partition;task_seed;"
-                 "source_ids;perm;train_indices;query_indices\n")
-        for i, t in enumerate(tasks):
-            fh.write(";".join([
-                str(i), str(t.n_way), str(t.k_shot), str(t.q_queries),
-                t.input_repr, t.split or "",
-                "" if t.partition_index is None else str(t.partition_index),
-                "" if t.task_seed is None else str(t.task_seed),
-                ",".join(str(int(v)) for v in t.source_ids),
-                ",".join(str(int(v)) for v in t.label_perm),
-                ",".join(str(int(v)) for v in t.train_indices),
-                ",".join(str(int(v)) for v in t.query_indices),
-            ]) + "\n")
+    header = [f"dataset={dataset_ref}",
+              *(f"config:{line}" for line in (config_text or "").splitlines()),
+              "fields=index;n;k;q;input_repr;split;partition;task_seed;"
+              "source_ids;perm;train_indices;query_indices"]
+    body = "".join(";".join([
+        str(i), str(t.n_way), str(t.k_shot), str(t.q_queries),
+        t.input_repr, t.split or "",
+        "" if t.partition_index is None else str(t.partition_index),
+        "" if t.task_seed is None else str(t.task_seed),
+        *(",".join(str(int(v)) for v in ids) for ids in
+          (t.source_ids, t.label_perm, t.train_indices, t.query_indices)),
+    ]) + "\n" for i, t in enumerate(tasks))
+    write_text(path, header, body)
 
 
 _MANIFEST_FIELDS = 12
@@ -381,67 +376,57 @@ def read_task_manifest(path, ds: DataSet) -> list[Task]:
     input_repr, a wrong number of indices or source ids, an index outside
     the dataset, or a label_perm that is not a permutation is a DataError."""
     tasks = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}:{lineno}"
-            fields = line.split(";")
-            if len(fields) != _MANIFEST_FIELDS:
-                raise DataError(f"{where}: {len(fields)} fields, expected {_MANIFEST_FIELDS}")
-            (_, n, k, q, repr_, split, part_idx, task_seed,
-             source, perm, train_idx, query_idx) = fields
-            n, k, q = (_manifest_int(where, name, v)
-                       for name, v in (("n", n), ("k", k), ("q", q)))
-            part_idx = _manifest_int(where, "partition", part_idx) if part_idx else None
-            task_seed = _manifest_int(where, "task_seed", task_seed) if task_seed else None
-            if min(n, k, q) < 1:
-                raise DataError(f"{where}: n, k and q must be positive, got {n}/{k}/{q}")
-            if repr_ not in INPUT_REPRS:
-                raise DataError(f"{where}: input_repr {repr_!r} is not one of "
-                                f"{INPUT_REPRS}")
-            train_indices = _manifest_ints(where, "train index", train_idx)
-            query_indices = _manifest_ints(where, "query index", query_idx)
-            label_perm = _manifest_ints(where, "label_perm", perm)
-            source_ids = _manifest_ints(where, "source id", source)
-            if train_indices.size != n * k or query_indices.size != n * q:
-                raise DataError(f"{where}: {train_indices.size} train and "
-                                f"{query_indices.size} query indices for N={n}, "
-                                f"K={k}, Q={q}")
-            for name, idx in (("train", train_indices), ("query", query_indices)):
-                bad = idx[(idx < 0) | (idx >= ds.n)]
-                if bad.size:
-                    raise DataError(f"{where}: {name} index {bad[0]} outside the "
-                                    f"dataset's {ds.n} rows")
-            if source_ids.size != n:
-                raise DataError(f"{where}: {source_ids.size} source ids for N={n}")
-            if not np.array_equal(np.sort(label_perm), np.arange(n)):
-                raise DataError(f"{where}: label_perm {perm!r} is not a permutation "
-                                f"of 0..{n - 1}")
-            eye = np.eye(n)
-            tasks.append(Task(
-                n_way=n, k_shot=k, q_queries=q,
-                train_x=_fetch_inputs(ds, train_indices, repr_),
-                train_y=eye[label_perm.repeat(k)],
-                query_x=_fetch_inputs(ds, query_indices, repr_),
-                query_y=eye[label_perm.repeat(q)],
-                train_indices=train_indices, query_indices=query_indices,
-                label_perm=label_perm,
-                source_ids=source_ids,
-                input_repr=repr_, split=split or None,
-                partition_index=part_idx, task_seed=task_seed,
-            ))
+    for lineno, line in body_lines(read_text(path)):
+        where = f"{path}:{lineno}"
+        fields = line.split(";")
+        if len(fields) != _MANIFEST_FIELDS:
+            raise DataError(f"{where}: {len(fields)} fields, expected {_MANIFEST_FIELDS}")
+        (_, n, k, q, repr_, split, part_idx, task_seed,
+         source, perm, train_idx, query_idx) = fields
+        n, k, q = (parse_field(where, name, v, int)
+                   for name, v in (("n", n), ("k", k), ("q", q)))
+        part_idx = parse_field(where, "partition", part_idx, int) if part_idx else None
+        task_seed = parse_field(where, "task_seed", task_seed, int) if task_seed else None
+        if min(n, k, q) < 1:
+            raise DataError(f"{where}: n, k and q must be positive, got {n}/{k}/{q}")
+        if repr_ not in INPUT_REPRS:
+            raise DataError(f"{where}: input_repr {repr_!r} is not one of "
+                            f"{INPUT_REPRS}")
+        train_indices = parse_field(where, "train indices", train_idx, _ints)
+        query_indices = parse_field(where, "query indices", query_idx, _ints)
+        label_perm = parse_field(where, "label_perm", perm, _ints)
+        source_ids = parse_field(where, "source ids", source, _ints)
+        if train_indices.size != n * k or query_indices.size != n * q:
+            raise DataError(f"{where}: {train_indices.size} train and "
+                            f"{query_indices.size} query indices for N={n}, "
+                            f"K={k}, Q={q}")
+        for name, idx in (("train", train_indices), ("query", query_indices)):
+            bad = idx[(idx < 0) | (idx >= ds.n)]
+            if bad.size:
+                raise DataError(f"{where}: {name} index {bad[0]} outside the "
+                                f"dataset's {ds.n} rows")
+        if source_ids.size != n:
+            raise DataError(f"{where}: {source_ids.size} source ids for N={n}")
+        if not np.array_equal(np.sort(label_perm), np.arange(n)):
+            raise DataError(f"{where}: label_perm {perm!r} is not a permutation "
+                            f"of 0..{n - 1}")
+        eye = np.eye(n)
+        tasks.append(Task(
+            n_way=n, k_shot=k, q_queries=q,
+            train_x=_fetch_inputs(ds, train_indices, repr_),
+            train_y=eye[label_perm.repeat(k)],
+            query_x=_fetch_inputs(ds, query_indices, repr_),
+            query_y=eye[label_perm.repeat(q)],
+            train_indices=train_indices, query_indices=query_indices,
+            label_perm=label_perm,
+            source_ids=source_ids,
+            input_repr=repr_, split=split or None,
+            partition_index=part_idx, task_seed=task_seed,
+        ))
+    if not tasks:
+        raise DataError(f"{path}: no task lines")
     return tasks
 
 
-def _manifest_int(where: str, name: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DataError(f"{where}: {name} {text!r} is not an integer") from None
-
-
-def _manifest_ints(where: str, name: str, text: str) -> np.ndarray:
-    return np.array([_manifest_int(where, name, v) for v in text.split(",")],
-                    dtype=np.int64)
+def _ints(text: str) -> np.ndarray:
+    return np.array([int(v) for v in text.split(",")], dtype=np.int64)

@@ -25,8 +25,9 @@ from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_mode
                                protonet_loss_grad, protonet_prototypes)
 from metafew.network import (apply_sgd, grad_through_adaptation, init_mlp,
                              xent_loss, xent_loss_grad)
-from metafew.partition import (generate_hyperplane_partitions, generate_partitions,
-                               kmeans, partition_from_labels, random_partition)
+from metafew.partition import (_lift, generate_hyperplane_partitions,
+                               generate_partitions, kmeans, partition_from_labels,
+                               random_partition)
 from metafew.tasks import (Task, TaskStreamConfig, make_supervised_task_stream,
                            make_task_stream, sample_supervised_task, validate_task)
 
@@ -147,14 +148,8 @@ def test_criterion_3_episode_validity():
         hyp = generate_hyperplane_partitions(ds, 4, n_way=4, margin=0.05, r_min=5,
                                              seed=31002, pool_size=128)
         rows = ds.split_indices("meta-train")
-        rnd = []
-        for i in range(4):
-            part = random_partition(rows.size, 12, np.random.default_rng(31003 + i))
-            assignment = np.full(ds.n, -1, dtype=np.int64)
-            assignment[rows] = part.assignment
-            part.assignment = assignment
-            part.clusters = [rows[m] for m in part.clusters]
-            rnd.append(part)
+        rnd = [_lift(random_partition(rows.size, 12, np.random.default_rng(31003 + i)),
+                     rows, ds.n) for i in range(4)]
         sup = [partition_from_labels(ds)]
         count = 0
         for seed, parts in ((31010, km), (31011, hyp), (31012, rnd), (31013, sup)):
@@ -189,15 +184,11 @@ def ordering_experiment():
     cluster_parts = generate_partitions(ds, b["partitions"], b["k"],
                                        seed=b["partition_seed"])
     rows = ds.split_indices("meta-train")
-    random_parts = []
-    for i in range(b["partitions"]):
-        part = random_partition(rows.size, b["k"],
-                                np.random.default_rng(b["random_partition_seed"] + i))
-        assignment = np.full(ds.n, -1, dtype=np.int64)
-        assignment[rows] = part.assignment
-        part.assignment = assignment
-        part.clusters = [rows[m] for m in part.clusters]
-        random_parts.append(part)
+    random_parts = [
+        _lift(random_partition(rows.size, b["k"],
+                               np.random.default_rng(b["random_partition_seed"] + i)),
+              rows, ds.n)
+        for i in range(b["partitions"])]
 
     def train_maml(parts, seed):
         stream_cfg = TaskStreamConfig(tasks=b["iterations"] * 8, n_way=5, k_shot=1,

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -291,6 +292,18 @@ def test_evaluate_malformed_partition_header_is_exit_3(tmp_path, dataset, partit
     assert_data_error(capsys, eval_args(dataset, tmp_path / "cm.csv", "cluster-match",
                                         partition=path))
 
+@pytest.mark.parametrize("entry", ["nan", "-1.0", "inf", "0.0"])
+def test_cluster_match_on_partition_with_bad_scaling_is_exit_3(tmp_path, dataset,
+                                                               partitions, entry,
+                                                               capsys):
+    # k-means rejects such a scaling; cluster matching on one would still
+    # write a plausible report
+    path = tmp_path / f"{partitions.name}_000.part"
+    path.write_text(re.sub(r"# scaling=[^,]*", f"# scaling={entry}", path.read_text()))
+    err = assert_data_error(capsys, eval_args(dataset, tmp_path / "cm.csv",
+                                              "cluster-match", partition=path))
+    assert f"{path}: scaling entry {entry} is not finite and > 0" in err
+
 def test_evaluate_missing_checkpoint_is_exit_2(tmp_path, dataset):
     out = tmp_path / "x.csv"
     assert main(eval_args(dataset, out, "maml")) == 2
@@ -384,8 +397,8 @@ BAD_MANIFEST_FIELDS = {
 BAD_MANIFEST_MESSAGES = {
     "negative_train_index": "train index -1 outside",
     "query_index_past_end": "query index 72 outside",
-    "non_numeric_index": "train index 'x' is not an integer",
-    "non_numeric_k": "k 'one' is not an integer",
+    "non_numeric_index": "bad train indices 'x,",
+    "non_numeric_k": "bad k 'one'",
     "perm_not_a_permutation": "label_perm '0,0,0' is not a permutation",
     "missing_field": "11 fields, expected 12",
 }
@@ -569,22 +582,38 @@ def test_evaluate_on_embeddings_too_large_for_distances_is_exit_3(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("data error:") and f"{data}: embeddings block" in err
 
-# each edit rewrites the lines of a saved report that start with the prefix
-BAD_REPORT_LINES = {"row": ("0,", "0,abc1.0"), "seed": ("# seed=", "# seed=x"),
-                    "summary": ("# summary:", "# summary: tasks=12 mean=abc ci95=0.0")}
+def _replace(prefix, new):
+    return lambda lines: [new if l.startswith(prefix) else l for l in lines]
 
-@pytest.mark.parametrize("case", sorted(BAD_REPORT_LINES))
+# each edit rewrites the lines of a saved 12-task report; the words of the
+# reader's message follow the edit
+BAD_REPORT_EDITS = {
+    "row": (_replace("0,", "0,abc1.0"), "bad accuracy 'abc1.0'"),
+    "seed": (_replace("# seed=", "# seed=x"), "bad seed 'x'"),
+    "summary": (_replace("# summary:", "# summary: tasks=12 mean=abc ci95=0.0"),
+                "summary"),
+    "no_rows": (lambda lines: lines[:lines.index("task_index,accuracy") + 1],
+                "no task rows"),
+    "summary_tasks": (lambda lines: [l.replace("tasks=12", "tasks=4") for l in lines],
+                      "summary"),
+    "summary_ci95": (lambda lines: [re.sub(r"ci95=\S+", "ci95=0.123", l)
+                                    for l in lines], "summary"),
+    "index_repeated": (_replace("1,", "0,0.5"), "task_index '0', expected 1"),
+    "index_out_of_order": (lambda lines: [{"1,": "2,", "2,": "1,"}.get(l[:2], l[:2])
+                                          + l[2:] for l in lines],
+                           "task_index '2', expected 1"),
+}
+
+@pytest.mark.parametrize("case", sorted(BAD_REPORT_EDITS))
 def test_compare_malformed_report_is_exit_3(tmp_path, dataset, case, capsys):
     path = tmp_path / "knn.csv"
     assert main(eval_args(dataset, path, "knn")) == 0
-    prefix, edit = BAD_REPORT_LINES[case]
-    lines = [edit if l.startswith(prefix) else l
-             for l in path.read_text().splitlines()]
-    path.write_text("\n".join(lines) + "\n")
+    edit, message = BAD_REPORT_EDITS[case]
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     capsys.readouterr()
     assert main(["compare", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and str(path) in err
+    assert err.startswith(f"data error: {path}") and message in err
     assert "Traceback" not in err
 
 @pytest.mark.parametrize("d_in", [3, 4])
