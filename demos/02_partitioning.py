@@ -28,7 +28,7 @@ print("=" * 60)
 parts = generate_partitions(ds, P=5, k=10, seed=3)
 for i, p in enumerate(parts):
     print(f"partition {i}: objective {p.objective:9.2f}  "
-          f"sizes {np.sort(p.cluster_sizes())[::-1][:5]}...  "
+          f"sizes {np.sort(p.cluster_sizes)[::-1][:5]}...  "
           f"majority-class purity {alignment(p):.2f}")
 print("each run draws a fresh scaling, so partitions disagree with each")
 print(f"other: partitions 0 and 1 differ on "

@@ -226,8 +226,17 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 def _file_digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
+        while block := fh.read(1 << 20):
+            h.update(block)
     return h.hexdigest()
+
+
+def _say(text: str) -> None:
+    """Print a line on stdout. What stdout's encoding cannot hold, such as a
+    name read from an artifact under an ASCII locale, is written as
+    backslash escapes instead of raising."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -254,7 +263,7 @@ def cmd_synth(cfg: dict, echo: str) -> int:
         stats = None if cfg["whiten_stats"] == "all" else cfg["whiten_stats"]
         ds = pca_whiten(ds, cfg["whiten_dim"] or ds.d_z, stats_split=stats)
     save_dataset(ds, cfg["out"], config_text=echo)
-    print(f"wrote {cfg['out']}: n={ds.n} d_in={ds.d_in} d_z={ds.d_z}")
+    _say(f"wrote {cfg['out']}: n={ds.n} d_in={ds.d_in} d_z={ds.d_z}")
     return 0
 
 
@@ -295,7 +304,7 @@ def cmd_partition(cfg: dict, echo: str) -> int:
     manifest = cfg["out_prefix"] + "_manifest.txt"
     write_text(manifest, echo.splitlines(),
                "".join(os.path.basename(path) + "\n" for path in paths))
-    print(f"wrote {len(paths)} partitions + {manifest}")
+    _say(f"wrote {len(paths)} partitions + {manifest}")
     return 0
 
 
@@ -349,14 +358,14 @@ def cmd_gen_tasks(cfg: dict, echo: str) -> int:
         tasks = list(_build_stream(cfg, ds, cfg["tasks"], cfg["n_way"],
                                    cfg["k_shot"], cfg["q_queries"]))
     write_task_manifest(tasks, cfg["out"], dataset_ref=cfg["data"], config_text=echo)
-    print(f"wrote {len(tasks)} tasks to {cfg['out']}")
+    _say(f"wrote {len(tasks)} tasks to {cfg['out']}")
     return 0
 
 
 def cmd_meta_train(cfg: dict, echo: str) -> int:
     if cfg["resume"] and os.path.exists(cfg["out"]):
         load_checkpoint(cfg["out"])  # validate before declaring success
-        print(f"checkpoint {cfg['out']} already exists; resume=true, nothing to do")
+        _say(f"checkpoint {cfg['out']} already exists; resume=true, nothing to do")
         return 0
     ds = load_dataset(_require_file(cfg["data"], "dataset"))
     learner = cfg["learner"]
@@ -407,7 +416,7 @@ def cmd_meta_train(cfg: dict, echo: str) -> int:
                    "iteration,meta_loss,val_accuracy\n" + "".join(
                        f"{it},{fmt_float(loss)},{'' if val is None else fmt_float(val)}\n"
                        for it, loss, val in log_rows))
-    print(f"wrote {cfg['out']} after {meta_cfg.meta_iterations} meta-iterations")
+    _say(f"wrote {cfg['out']} after {meta_cfg.meta_iterations} meta-iterations")
     return 0
 
 
@@ -449,7 +458,7 @@ def cmd_evaluate(cfg: dict, echo: str) -> int:
     report = evaluate(predict, tasks, learner_id=learner_id, fingerprint=fingerprint,
                       seed=cfg["seed"])
     write_report_csv(report, cfg["out"], config_text=echo)
-    print(report.summary())
+    _say(report.summary())
     return 0
 
 
@@ -458,7 +467,7 @@ def cmd_compare(paths: list[str], cfg: dict, echo: str) -> int:
         raise ConfigError("compare needs at least one report CSV")
     reports = [read_report_csv(_require_file(path, "report"))[0] for path in paths]
     rows = compare(reports)
-    print(format_comparison(rows))
+    _say(format_comparison(rows))
     if cfg["out"]:
         write_comparison_csv(rows, cfg["out"], config_text=echo)
     return 0
@@ -495,13 +504,13 @@ def _command_help(command: str) -> str:
 
 def _dispatch(argv: list[str]) -> int:
     if not argv or argv[0] in ("-h", "--help"):
-        print(_usage())
+        _say(_usage())
         return 0
     command, rest = argv[0], argv[1:]
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}\n{_usage()}")
     if rest and rest[0] in ("-h", "--help"):
-        print(_command_help(command))
+        _say(_command_help(command))
         return 0
     if command == "compare":
         paths = [a for a in rest if "=" not in a]

@@ -414,7 +414,7 @@ def load_dataset(path, format: str = "auto") -> DataSet:
     distance is a DataError: over d columns such a sum is at most 4*d*M**2,
     and M may not exceed sqrt(max_float / (8*d)), which keeps that bound
     a factor of two below overflow for rounding (about 4.7e153 at d=1).
-    NaN entries are left to the finiteness checks of the kernels."""
+    The same scan makes a NaN entry a DataError."""
     if format not in ("auto", "emb1", "csv"):
         raise ConfigError(f"unknown dataset format {format!r}")
     if format == "auto":
@@ -429,11 +429,13 @@ def load_dataset(path, format: str = "auto") -> DataSet:
     for name, block in (("raw", ds.raw), ("embeddings", ds.embeddings)):
         if block is None or block.size == 0:
             continue
-        # max and min, not abs: no temporary the size of the block
+        # max and min, not abs: no temporary the size of the block; both
+        # are NaN when any entry is, and NaN fails `top <= limit`
         top = max(block.max(), -block.min())
         limit = np.sqrt(np.finfo(np.float64).max / (8 * block.shape[1]))
-        if top > limit:
-            raise DataError(f"{path}: {name} block has an entry of magnitude "
-                            f"{top:.3g}; above {limit:.3g}, squared distances over "
-                            f"its {block.shape[1]} columns could overflow")
+        if not top <= limit:
+            raise DataError(f"{path}: {name} block has " + (
+                "a NaN entry" if np.isnan(top) else
+                f"an entry of magnitude {top:.3g}; above {limit:.3g}, squared "
+                f"distances over its {block.shape[1]} columns could overflow"))
     return ds

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,12 +62,12 @@ def signed_distance(h: Hyperplane, z: np.ndarray) -> float | np.ndarray:
 
 @dataclass
 class Partition:
-    """Cluster structure over n points. assignment[i] is the cluster of
-    point i or -1 for discarded points; clusters holds the member-index
-    list of each cluster, and must stay in bijection with assignment."""
+    """Cluster structure over n points: assignment[i] is the cluster
+    (0..num_clusters-1) of point i, or -1 for a discarded point. Sizes and
+    member lists are derived from it once, on first use, so a built
+    partition's assignment is never rewritten (_lift makes a new one)."""
 
     assignment: np.ndarray
-    clusters: list[np.ndarray]
     centroids: np.ndarray | None = None
     scaling: np.ndarray | None = None
     provenance: str = "kmeans"
@@ -82,37 +83,39 @@ class Partition:
     def n(self) -> int:
         return self.assignment.shape[0]
 
+    @cached_property
+    def cluster_sizes(self) -> np.ndarray:
+        """Member count of each cluster, read-only; kept because task
+        sampling checks eligibility once per task."""
+        sizes = np.bincount(self.assignment + 1)[1:]
+        sizes.flags.writeable = False
+        return sizes
+
+    @cached_property
+    def clusters(self) -> list[np.ndarray]:
+        """Ascending member indices of each cluster."""
+        order = np.argsort(self.assignment, kind="stable")  # discarded rows first
+        bounds = (self.n - np.cumsum(self.cluster_sizes[::-1])[::-1]).tolist() + [self.n]
+        return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
     @property
     def num_clusters(self) -> int:
-        return len(self.clusters)
-
-    def cluster_sizes(self) -> np.ndarray:
-        return np.array([len(c) for c in self.clusters], dtype=np.int64)
+        return len(self.cluster_sizes)
 
     def validate(self) -> None:
         if self.provenance not in PROVENANCES:
             raise DataError(f"unknown provenance {self.provenance!r}")
-        seen = np.full(self.n, -1, dtype=np.int64)
-        for c, members in enumerate(self.clusters):
-            if len(members) == 0:
-                raise DataError(f"cluster {c} is empty")
-            if np.any(seen[members] != -1):
-                raise DataError(f"cluster {c} reuses points of another cluster")
-            seen[members] = c
-        if not np.array_equal(seen, self.assignment):
-            raise DataError("assignment vector and cluster lists disagree")
-        if self.centroids is not None and self.centroids.shape[0] != len(self.clusters):
+        empty = np.flatnonzero(self.cluster_sizes == 0)
+        if empty.size:
+            raise DataError(f"cluster {empty[0]} is empty")
+        if self.centroids is not None and self.centroids.shape[0] != self.num_clusters:
             raise DataError(f"{self.centroids.shape[0]} centroids for "
-                            f"{len(self.clusters)} clusters")
+                            f"{self.num_clusters} clusters")
 
 
-def _clusters_from_assignment(assignment: np.ndarray) -> list[np.ndarray]:
-    """Ascending member indices of clusters 0..max(assignment); discarded
-    (-1) points belong to none."""
-    k = int(assignment.max()) + 1 if assignment.size and assignment.max() >= 0 else 0
-    order = np.argsort(assignment, kind="stable")
-    bounds = np.searchsorted(assignment[order], np.arange(k + 1))
-    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _cluster_means(points: np.ndarray, part: Partition) -> np.ndarray:
+    """Member mean of each cluster, one cluster at a time."""
+    return np.stack([points[m].mean(axis=0) for m in part.clusters])
 
 
 # -- metric-scaled k-means ------------------------------------------------------
@@ -155,8 +158,8 @@ def kmeans(points: np.ndarray, k: int, scaling: np.ndarray | None = None,
     scaling = np.asarray(scaling, dtype=np.float64)
     if scaling.shape != (d,):
         raise ShapeError(f"scaling shape {scaling.shape} != ({d},)")
-    if np.any(scaling <= 0):
-        raise ConfigError("scaling entries must be positive")
+    if not ((scaling > 0) & (scaling < np.inf)).all():
+        raise ConfigError("scaling entries must be finite and > 0")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     seed_val = None if isinstance(seed, np.random.Generator) else int(seed)
     if restarts > 1:
@@ -192,12 +195,11 @@ def kmeans(points: np.ndarray, k: int, scaling: np.ndarray | None = None,
             break
         centroids = _member_means(columns, assign, k)
         prev_assign, prev_obj = assign, obj
-    clusters = _clusters_from_assignment(assign)
-    means = np.stack([points[m].mean(axis=0) for m in clusters])
-    return Partition(assignment=assign, clusters=clusters,
-                     centroids=means, scaling=scaling, provenance="kmeans",
+    part = Partition(assignment=assign, scaling=scaling, provenance="kmeans",
                      k=k, seed=seed_val, objective=float(trace[-1]),
                      objective_trace=np.array(trace))
+    part.centroids = _cluster_means(points, part)
+    return part
 
 
 def _member_means(columns, assign, k):
@@ -206,7 +208,7 @@ def _member_means(columns, assign, k):
     columns numpy adds a cluster's rows one at a time in index order from
     0.0, as bincount does; a single column it sums pairwise."""
     if len(columns) == 1:
-        return np.array([[columns[0][m].mean()] for m in _clusters_from_assignment(assign)])
+        return np.array([[columns[0][m].mean()] for m in Partition(assign).clusters])
     sums = np.empty((k, len(columns)))
     for j, col in enumerate(columns):
         sums[:, j] = np.bincount(assign, weights=col, minlength=k)
@@ -346,12 +348,11 @@ def pixel_partition(ds: DataSet, k: int, seed: int,
 
 
 def _lift(part: Partition, rows: np.ndarray, n: int) -> Partition:
-    """Re-index a partition built on a row subset into full-dataset indices."""
+    """A partition built on a row subset, re-indexed into full-dataset
+    indices; the rows outside the subset are discarded."""
     assignment = np.full(n, -1, dtype=np.int64)
     assignment[rows] = part.assignment
-    part.assignment = assignment
-    part.clusters = [rows[m] for m in part.clusters]
-    return part
+    return replace(part, assignment=assignment)
 
 
 # -- random-hyperplane slicing ---------------------------------------------------
@@ -409,18 +410,13 @@ def partition_by_hyperplanes(points: np.ndarray, hyperplanes: list[Hyperplane],
         keep = np.abs(dist) >= margin
         alive = alive[keep]
         pattern = pattern[keep] | (dist[keep] >= 0).astype(np.int64) << bit
-    order = np.argsort(pattern, kind="stable")
-    bounds = np.searchsorted(pattern[order], np.arange((1 << len(hyperplanes)) + 1))
+    # surviving sign patterns take cluster ids in ascending pattern order
+    kept = np.bincount(pattern, minlength=1 << len(hyperplanes)) >= r_min
+    ids = np.where(kept, np.cumsum(kept) - 1, -1)
     assignment = np.full(n, -1, dtype=np.int64)
-    clusters = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo >= r_min:
-            members = alive[order[lo:hi]]
-            assignment[members] = len(clusters)
-            clusters.append(members)
-    return Partition(assignment=assignment, clusters=clusters, centroids=None,
-                     provenance="hyperplane", k=len(clusters), margin=margin,
-                     hyperplanes=list(hyperplanes))
+    assignment[alive] = ids[pattern]
+    return Partition(assignment=assignment, provenance="hyperplane",
+                     k=int(kept.sum()), margin=margin, hyperplanes=list(hyperplanes))
 
 
 def hyperplane_partition(points: np.ndarray, n_way: int, margin: float, r_min: int,
@@ -481,14 +477,8 @@ def random_partition(n: int, k: int, rng: np.random.Generator) -> Partition:
     dropped and ids compacted."""
     if k < 2:
         raise ConfigError(f"random partition needs k >= 2, got {k}")
-    assignment = rng.integers(0, k, size=n).astype(np.int64)
-    used = np.unique(assignment)
-    remap = -np.ones(k, dtype=np.int64)
-    remap[used] = np.arange(used.size)
-    assignment = remap[assignment]
-    return Partition(assignment=assignment,
-                     clusters=_clusters_from_assignment(assignment),
-                     provenance="random", k=k)
+    _, ids = np.unique(rng.integers(0, k, size=n), return_inverse=True)
+    return Partition(assignment=ids.astype(np.int64), provenance="random", k=k)
 
 
 def partition_from_labels(ds: DataSet, split: str | None = None) -> Partition:
@@ -499,18 +489,13 @@ def partition_from_labels(ds: DataSet, split: str | None = None) -> Partition:
     if rows.size == 0:
         raise DataError(f"{'the dataset' if split is None else f'split {split!r}'} "
                         f"has no labeled rows")
+    values, ids = np.unique(ds.labels[rows], return_inverse=True)
     assignment = np.full(ds.n, -1, dtype=np.int64)
-    values = np.unique(ds.labels[rows])
-    clusters = []
-    for c, value in enumerate(values):
-        members = rows[ds.labels[rows] == value]
-        assignment[members] = c
-        clusters.append(members)
-    centroids = None
+    assignment[rows] = ids
+    part = Partition(assignment=assignment, provenance="supervised", k=len(values))
     if ds.embeddings is not None:
-        centroids = np.stack([ds.embeddings[m].mean(axis=0) for m in clusters])
-    return Partition(assignment=assignment, clusters=clusters, centroids=centroids,
-                     provenance="supervised", k=len(clusters))
+        part.centroids = _cluster_means(ds.embeddings, part)
+    return part
 
 
 # -- text serialization --------------------------------------------------------
@@ -519,7 +504,7 @@ def save_partition(part: Partition, path) -> None:
     """One `index,cluster` line per point; header lines carry provenance,
     k, seed, scaling, and (for hyperplane partitions) margin and planes."""
     header = [f"provenance={part.provenance}", f"n={part.n}",
-              f"k={part.k if part.k is not None else len(part.clusters)}",
+              f"k={part.k if part.k is not None else part.num_clusters}",
               f"seed={part.seed if part.seed is not None else ''}",
               f"source_space={part.source_space}"]
     if part.scaling is not None:
@@ -538,8 +523,8 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
     points are supplied, the partition must come from the embedding space,
     they must number n, the scaling and every hyperplane must match their
     width, and centroids are recomputed as member means.
-    The body must list every index 0..n-1 exactly once with a cluster id
-    >= -1. A malformed header value is a DataError."""
+    The body must list every index 0..n-1 once, with cluster ids -1 and
+    0..k-1 for some k >= 1, none skipped. A malformed header is a DataError."""
     text = read_text(path)
     fields = [line.partition("=")[::2] for line in header_lines(text)]  # (key, value)
     header = dict(fields)
@@ -566,7 +551,6 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
     assignment[idx] = cluster
     part = Partition(
         assignment=assignment,
-        clusters=_clusters_from_assignment(assignment),
         scaling=header_value("scaling", _parse_floats),
         provenance=header.get("provenance", "kmeans"),
         k=header_value("k", int),
@@ -591,9 +575,12 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
             if h.normal.shape != (width,):
                 raise DataError(f"{path}: hyperplane of dimension {h.normal.size}, "
                                 f"but the points have width {width}")
-        part.centroids = np.stack([points[m].mean(axis=0) for m in part.clusters])
     with naming(path):
         part.validate()
+    if not part.num_clusters:
+        raise DataError(f"{path}: every point is discarded (cluster -1)")
+    if points is not None:
+        part.centroids = _cluster_means(points, part)
     return part
 
 

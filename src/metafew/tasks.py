@@ -4,7 +4,7 @@ annotations, plus lazy task streams and stream mixing."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -88,10 +88,34 @@ def _fetch_inputs(ds: DataSet, indices: np.ndarray, input_repr: str) -> np.ndarr
     raise ConfigError(f"unknown input_repr {input_repr!r}")
 
 
+def _make_task(ds: DataSet, label_perm: np.ndarray, train_idx: np.ndarray,
+               query_idx: np.ndarray, k_shot: int, q_queries: int,
+               input_repr: str, **provenance) -> Task:
+    """The Task whose slot i holds one-hot column label_perm[i], with its
+    inputs fetched from the dataset's rows."""
+    eye = np.eye(len(label_perm))
+    return Task(n_way=len(label_perm), k_shot=k_shot, q_queries=q_queries,
+                train_x=_fetch_inputs(ds, train_idx, input_repr),
+                train_y=eye[label_perm.repeat(k_shot)],
+                query_x=_fetch_inputs(ds, query_idx, input_repr),
+                query_y=eye[label_perm.repeat(q_queries)],
+                train_indices=train_idx, query_indices=query_idx,
+                label_perm=label_perm, input_repr=input_repr, **provenance)
+
+
+def _draw_shots(groups, k_shot: int, q_queries: int, rng: np.random.Generator):
+    """K+Q rows without replacement from each group in turn, split into
+    the train rows (K per group) and the query rows (Q per group)."""
+    picked = [rng.choice(members, size=k_shot + q_queries, replace=False)
+              for members in groups]
+    return (np.concatenate([p[:k_shot] for p in picked]),
+            np.concatenate([p[k_shot:] for p in picked]))
+
+
 def eligible_clusters(partition: Partition, r_min: int) -> np.ndarray:
     """Clusters holding at least r_min members (K + Q draws without
     replacement must fit)."""
-    return np.flatnonzero(partition.cluster_sizes() >= r_min)
+    return np.flatnonzero(partition.cluster_sizes >= r_min)
 
 
 def sample_task_from_partition(partition: Partition, n_way: int, k_shot: int,
@@ -112,27 +136,10 @@ def sample_task_from_partition(partition: Partition, n_way: int, k_shot: int,
             f"(of {partition.num_clusters} total), need {n_way}")
     chosen = rng.choice(ok, size=n_way, replace=False)
     perm = rng.permutation(n_way)
-    eye = np.eye(n_way)
-    train_idx, query_idx = [], []
-    for c in chosen:
-        members = partition.clusters[int(c)]
-        picked = rng.choice(members, size=r, replace=False)
-        train_idx.append(picked[:k_shot])
-        query_idx.append(picked[k_shot:])
-    train_idx = np.concatenate(train_idx)
-    query_idx = np.concatenate(query_idx)
-    train_y = eye[perm.repeat(k_shot)]
-    query_y = eye[perm.repeat(q_queries)]
-    return Task(
-        n_way=n_way, k_shot=k_shot, q_queries=q_queries,
-        train_x=_fetch_inputs(ds, train_idx, input_repr),
-        train_y=train_y,
-        query_x=_fetch_inputs(ds, query_idx, input_repr),
-        query_y=query_y,
-        train_indices=train_idx, query_indices=query_idx,
-        label_perm=perm, source_ids=np.asarray(chosen, dtype=np.int64),
-        input_repr=input_repr, split=split,
-    )
+    train_idx, query_idx = _draw_shots([partition.clusters[c] for c in chosen],
+                                       k_shot, q_queries, rng)
+    return _make_task(ds, perm, train_idx, query_idx, k_shot, q_queries, input_repr,
+                      source_ids=np.asarray(chosen, dtype=np.int64), split=split)
 
 
 def sample_supervised_task(ds: DataSet, split: str, n_way: int, k_shot: int,
@@ -170,25 +177,10 @@ def sample_attribute_task(ds: DataSet, split: str, attr_indices, attr_values,
         raise TaskRejected(f"attribute pattern sides have {pos.size}/{neg.size} "
                            f"members, need {r} each")
     perm = rng.permutation(2)
-    eye = np.eye(2)
-    train_idx, query_idx = [], []
-    for members in (pos, neg):
-        picked = rng.choice(members, size=r, replace=False)
-        train_idx.append(picked[:k_shot])
-        query_idx.append(picked[k_shot:])
-    train_idx = np.concatenate(train_idx)
-    query_idx = np.concatenate(query_idx)
+    train_idx, query_idx = _draw_shots((pos, neg), k_shot, q_queries, rng)
     pattern_id = int((attr_values << np.arange(3)).sum())
-    return Task(
-        n_way=2, k_shot=k_shot, q_queries=q_queries,
-        train_x=_fetch_inputs(ds, train_idx, input_repr),
-        train_y=eye[perm.repeat(k_shot)],
-        query_x=_fetch_inputs(ds, query_idx, input_repr),
-        query_y=eye[perm.repeat(q_queries)],
-        train_indices=train_idx, query_indices=query_idx,
-        label_perm=perm, source_ids=np.array([pattern_id, 7 - pattern_id]),
-        input_repr=input_repr, split=split,
-    )
+    return _make_task(ds, perm, train_idx, query_idx, k_shot, q_queries, input_repr,
+                      source_ids=np.array([pattern_id, 7 - pattern_id]), split=split)
 
 
 def sample_eligible_attribute_task(ds: DataSet, split: str, k_shot: int,
@@ -410,19 +402,9 @@ def read_task_manifest(path, ds: DataSet) -> list[Task]:
         if not np.array_equal(np.sort(label_perm), np.arange(n)):
             raise DataError(f"{where}: label_perm {perm!r} is not a permutation "
                             f"of 0..{n - 1}")
-        eye = np.eye(n)
-        tasks.append(Task(
-            n_way=n, k_shot=k, q_queries=q,
-            train_x=_fetch_inputs(ds, train_indices, repr_),
-            train_y=eye[label_perm.repeat(k)],
-            query_x=_fetch_inputs(ds, query_indices, repr_),
-            query_y=eye[label_perm.repeat(q)],
-            train_indices=train_indices, query_indices=query_indices,
-            label_perm=label_perm,
-            source_ids=source_ids,
-            input_repr=repr_, split=split or None,
-            partition_index=part_idx, task_seed=task_seed,
-        ))
+        tasks.append(_make_task(ds, label_perm, train_indices, query_indices, k, q,
+                                repr_, source_ids=source_ids, split=split or None,
+                                partition_index=part_idx, task_seed=task_seed))
     if not tasks:
         raise DataError(f"{path}: no task lines")
     return tasks

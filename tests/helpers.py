@@ -1,15 +1,17 @@
 """Independent oracles shared by the test suite: central finite
 differences, models built from layer lists and their list mean,
-exhaustive 2-cluster k-means enumeration, a scalar Adam trace, per-query kNN and per-point cluster matching, and the earlier
+exhaustive 2-cluster k-means enumeration, a scalar Adam trace, per-query kNN and per-point cluster matching, the earlier
 forms of the k-means assignment and hyperplane slicing kernels that pin
-their bits. These never call the code paths they check."""
+their bits, the hand-built cluster lists and centroids of every partition
+builder, and the per-task episode assembly. These never call the code
+paths they check."""
 
 import itertools
 
 import numpy as np
 
 from metafew.network import ModelParams
-from metafew.partition import Partition
+from metafew.tasks import Task
 
 
 def finite_difference_grad(loss_fn, params: ModelParams, h: float = 1e-5) -> ModelParams:
@@ -185,7 +187,8 @@ def reference_assign(y, sq_y, centroids, block_elems=1 << 16, gemm_align=64):
 def reference_hyperplane_partition(points, hyperplanes, margin, r_min):
     """Hyperplane slicing with every plane's distances taken over all rows
     at once, (points - point) @ unit normal, as the plane-by-plane kernel
-    replaced."""
+    replaced: (assignment, member lists), the surviving buckets numbered in
+    ascending sign-pattern order."""
     dists = np.stack([(points - h.point) @ (h.normal / np.linalg.norm(h.normal))
                       for h in hyperplanes], axis=1)
     kept = (np.abs(dists) >= margin).all(axis=1)
@@ -197,6 +200,55 @@ def reference_hyperplane_partition(points, hyperplanes, margin, r_min):
         if members.size >= r_min:
             assignment[members] = len(clusters)
             clusters.append(members)
-    return Partition(assignment=assignment, clusters=clusters, centroids=None,
-                     provenance="hyperplane", k=len(clusters), margin=margin,
-                     hyperplanes=list(hyperplanes))
+    return assignment, clusters
+
+
+def reference_clusters(assignment):
+    """Ascending member indices of clusters 0..max(assignment), found by
+    sorting the assignment; discarded (-1) points belong to none."""
+    k = int(assignment.max()) + 1 if assignment.size and assignment.max() >= 0 else 0
+    order = np.argsort(assignment, kind="stable")
+    bounds = np.searchsorted(assignment[order], np.arange(k + 1))
+    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def reference_label_clusters(labels, rows):
+    """One member list per label value among rows, in ascending value
+    order, each listing its rows in the order given."""
+    return [rows[labels[rows] == value] for value in np.unique(labels[rows])]
+
+
+def reference_lifted_clusters(clusters, rows):
+    """Member lists of a partition of a row subset, in dataset indices."""
+    return [rows[m] for m in clusters]
+
+
+def reference_centroids(points, clusters):
+    """Member mean of each cluster."""
+    return np.stack([points[m].mean(axis=0) for m in clusters])
+
+
+def reference_task_from_partition(clusters, n_way, k_shot, q_queries, rng, ds,
+                                  input_repr="raw", split=None):
+    """One episode drawn cluster by cluster, as sample_task_from_partition
+    assembled it inline: N eligible clusters, a slot permutation, then K+Q
+    members without replacement from each chosen cluster in turn."""
+    r = k_shot + q_queries
+    ok = np.flatnonzero(np.array([len(c) for c in clusters]) >= r)
+    chosen = rng.choice(ok, size=n_way, replace=False)
+    perm = rng.permutation(n_way)
+    eye = np.eye(n_way)
+    train_idx, query_idx = [], []
+    for c in chosen:
+        picked = rng.choice(clusters[int(c)], size=r, replace=False)
+        train_idx.append(picked[:k_shot])
+        query_idx.append(picked[k_shot:])
+    train_idx = np.concatenate(train_idx)
+    query_idx = np.concatenate(query_idx)
+    block = ds.raw if input_repr == "raw" else ds.embeddings
+    return Task(n_way=n_way, k_shot=k_shot, q_queries=q_queries,
+                train_x=block[train_idx].copy(), train_y=eye[perm.repeat(k_shot)],
+                query_x=block[query_idx].copy(), query_y=eye[perm.repeat(q_queries)],
+                train_indices=train_idx, query_indices=query_idx,
+                label_perm=perm, source_ids=np.asarray(chosen, dtype=np.int64),
+                input_repr=input_repr, split=split)

@@ -195,10 +195,8 @@ def test_query_in_unlabeled_cluster_falls_through_to_nearest_labeled():
     # three clusters; train shots label clusters 0 and 2 only; cluster 1's
     # centroid is nearer to cluster 0's; row 6 is in no cluster
     assignment = np.array([0, 0, 1, 1, 2, 2, -1])
-    clusters = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
     centroids = np.array([[0.0], [1.0], [5.0]])
-    part = Partition(assignment=assignment, clusters=clusters, centroids=centroids,
-                     provenance="kmeans")
+    part = Partition(assignment=assignment, centroids=centroids, provenance="kmeans")
     embeddings = np.array([[0.0], [0.0], [1.0], [1.0], [5.0], [5.0], [4.9]])
     membership = cluster_membership(part, embeddings)
     assert np.array_equal(membership, [0, 0, 1, 1, 2, 2, 2])
@@ -217,9 +215,7 @@ def test_query_in_unlabeled_cluster_falls_through_to_nearest_labeled():
     assert cluster_matching_classify(part, membership, task)[0] == 1
 
 def test_all_shots_discarded_is_an_error():
-    part = Partition(assignment=np.array([-1, -1, 0, 0]),
-                     clusters=[np.array([2, 3])], centroids=None,
-                     provenance="hyperplane")
+    part = Partition(assignment=np.array([-1, -1, 0, 0]), provenance="hyperplane")
     task = toy_task(np.random.default_rng(23), n_way=2, k=1, q=1, d=1)
     task.train_indices = np.array([0, 1])
     task.query_indices = np.array([2, 3])
@@ -302,8 +298,7 @@ def test_stacked_cluster_matching_without_centroids(split_mixture):
 def test_one_task_of_a_stack_with_every_shot_discarded_is_an_error(
         split_mixture, split_kmeans):
     ds = split_mixture
-    part = Partition(split_kmeans.assignment, split_kmeans.clusters,
-                     provenance="hyperplane")
+    part = Partition(split_kmeans.assignment, provenance="hyperplane")
     tasks = split_tasks(ds, "meta-train", 3)
     tasks[1].train_indices = ds.split_indices("meta-test")[:3]
     membership = cluster_membership(part, ds.embeddings)

@@ -233,6 +233,7 @@ BAD_PARTITION_LINES = {
     "non_integer": lambda first, n: "0,x",
     "index_past_end": lambda first, n: f"{n}," + first.split(",")[1],
     "cluster_below_minus_one": lambda first, n: "0,-2",
+    "cluster_id_skipped": lambda first, n: f"0,{n - 1}",
 }
 
 @pytest.mark.parametrize("case", sorted(BAD_PARTITION_LINES))
@@ -581,6 +582,20 @@ def test_evaluate_on_embeddings_too_large_for_distances_is_exit_3(tmp_path, caps
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and f"{data}: embeddings block" in err
+
+@pytest.mark.parametrize("block, learner", [("raw", "scratch"), ("embeddings", "knn"),
+                                            ("embeddings", "linear"),
+                                            ("embeddings", "mlp")])
+def test_evaluate_on_a_dataset_with_nan_is_exit_3(tmp_path, dataset, block, learner,
+                                                  capsys):
+    # NaN in every second meta-test row; it once gave a plausible report,
+    # or a numeric failure (exit 4) in the fitted learners
+    ds = load_dataset(dataset)
+    getattr(ds, block)[ds.split_indices("meta-test")[::2], 0] = np.nan
+    save_dataset(ds, dataset)
+    err = assert_data_error(capsys, eval_args(dataset, tmp_path / "r.csv", learner,
+                                              tasks=20, k_shot=1, q_queries=2, seed=3))
+    assert f"{dataset}: {block} block has a NaN entry" in err
 
 def _replace(prefix, new):
     return lambda lines: [new if l.startswith(prefix) else l for l in lines]

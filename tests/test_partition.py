@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 import metafew
 import metafew.partition as partition_module
-from helpers import (brute_force_two_means, reference_assign,
-                     reference_hyperplane_partition, scaled_objective)
+from helpers import (brute_force_two_means, reference_assign, reference_centroids,
+                     reference_clusters, reference_hyperplane_partition,
+                     reference_label_clusters, reference_lifted_clusters,
+                     scaled_objective)
 from metafew.data import DataSet, synth_mixture
 from metafew.errors import ConfigError, DataError, InfeasibleError, ShapeError
-from metafew.partition import (Hyperplane, Partition, generate_hyperplane_partitions,
+from metafew.partition import (Hyperplane, Partition, _lift, generate_hyperplane_partitions,
                                generate_partitions, hyperplane_partition, kmeans,
                                load_partition, partition_by_hyperplanes,
                                partition_from_labels, pixel_partition,
@@ -92,6 +94,12 @@ def test_infeasible_and_bad_input():
         kmeans(np.array([[np.nan, 0.0]]), 1, seed=0)
     with pytest.raises(ConfigError):
         kmeans(np.ones((4, 2)), 2, scaling=np.array([1.0, -1.0]), seed=0)
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 0.0, -1.0])
+def test_kmeans_scaling_must_be_finite_and_positive(entry):
+    pts = np.random.default_rng(3).standard_normal((20, 3))
+    with pytest.raises(ConfigError, match="finite and > 0"):
+        kmeans(pts, 3, scaling=np.array([entry, 1.0, 1.0]), seed=0)
 
 def test_no_empty_clusters_on_adversarial_instances():
     rng = np.random.default_rng(11)
@@ -317,13 +325,14 @@ def test_hyperplane_slicing_equals_all_rows_reference(monkeypatch):
         on_margin = [float(abs(signed_distance(planes[j], pts[r])))
                      for j in (0, h - 1) for r in (int(rng.integers(n)), n - 1, n - 2, n - 3)]
         for margin in [0.0, 0.3] + on_margin:
-            want = reference_hyperplane_partition(pts, planes, margin, r_min=3)
+            want, want_clusters = reference_hyperplane_partition(pts, planes,
+                                                                 margin, r_min=3)
             for rows in (64, 256, 1024, 4096):
                 monkeypatch.setattr(partition_module, "SLICE_ROWS", rows)
                 got = partition_by_hyperplanes(pts, planes, margin, r_min=3)
-                assert np.array_equal(got.assignment, want.assignment)
-                assert len(got.clusters) == len(want.clusters)
-                for a, b in zip(got.clusters, want.clusters):
+                assert np.array_equal(got.assignment, want)
+                assert len(got.clusters) == len(want_clusters)
+                for a, b in zip(got.clusters, want_clusters):
                     assert np.array_equal(a, b)
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -363,7 +372,7 @@ def test_random_partition_deterministic():
 def test_random_partition_sizes_roughly_uniform():
     from scipy.stats import chisquare
     part = random_partition(5000, 5, np.random.default_rng(51))
-    stat = chisquare(part.cluster_sizes())
+    stat = chisquare(part.cluster_sizes)
     assert stat.pvalue > 0.01
 
 def test_pixel_partition_clusters_raw_space():
@@ -401,7 +410,7 @@ def test_partition_from_labels():
     assert part.num_clusters == 10
     assert part.provenance == "supervised"
     hist = np.bincount(ds.labels)
-    assert np.array_equal(np.sort(part.cluster_sizes()), np.sort(hist))
+    assert np.array_equal(np.sort(part.cluster_sizes), np.sort(hist))
     part.validate()
 
 def test_partition_from_labels_requires_labels():
@@ -423,6 +432,53 @@ def test_partition_wellformed_for_every_provenance(seed, k):
                                     margin=0.1, r_min=1)
     if part.num_clusters:
         part.validate()
+
+def assert_clusters_and_centroids(part, clusters, centroids=None):
+    assert len(part.clusters) == len(clusters) == part.num_clusters
+    for got, want in zip(part.clusters, clusters):
+        assert got.tolist() == want.tolist()
+    assert part.cluster_sizes.tolist() == [len(c) for c in clusters]
+    if centroids is not None:
+        assert part.centroids.tobytes() == centroids.tobytes()
+
+def test_every_builder_has_the_hand_built_clusters_and_centroids(tmp_path):
+    ds = synth_mixture(6, 40, 5, 4, noise=0.3, seed=80)
+    rows = np.flatnonzero(np.arange(ds.n) % 3 > 0)
+    pts = ds.embeddings[rows]
+    km = kmeans(pts, 7, scaling=np.random.default_rng(81).uniform(0.2, 1, 4), seed=82)
+    assert_clusters_and_centroids(km, reference_clusters(km.assignment),
+                                  reference_centroids(pts, reference_clusters(km.assignment)))
+    for seed in range(5):
+        hp = hyperplane_partition(pts, 4, margin=0.05, r_min=3, seed=seed)
+        assert_clusters_and_centroids(
+            hp, reference_hyperplane_partition(pts, hp.hyperplanes, 0.05, 3)[1])
+    rnd = random_partition(rows.size, 9, np.random.default_rng(83))
+    lifted = _lift(rnd, rows, ds.n)
+    assert_clusters_and_centroids(
+        lifted, reference_lifted_clusters(reference_clusters(rnd.assignment), rows))
+    for split in (None, "meta-train"):
+        label_rows = np.arange(ds.n) if split is None else ds.split_indices(split)
+        want = reference_label_clusters(ds.labels, label_rows)
+        assert_clusters_and_centroids(partition_from_labels(ds, split), want,
+                                      reference_centroids(ds.embeddings, want))
+    for part in (_lift(km, rows, ds.n), lifted):
+        save_partition(part, tmp_path / "p.part")
+        loaded = load_partition(tmp_path / "p.part", points=ds.embeddings)
+        want = reference_clusters(part.assignment)
+        assert_clusters_and_centroids(loaded, want, reference_centroids(ds.embeddings, want))
+
+def test_lift_leaves_its_input_unchanged():
+    part = random_partition(30, 4, np.random.default_rng(84))
+    before = (part.assignment.copy(), [c.copy() for c in part.clusters],
+              part.cluster_sizes.copy())
+    rows = np.arange(0, 60, 2)
+    lifted = _lift(part, rows, 60)
+    assert lifted is not part and lifted.n == 60 and part.n == 30
+    assert np.array_equal(part.assignment, before[0])
+    assert np.array_equal(part.cluster_sizes, before[2])
+    for got, want in zip(part.clusters, before[1], strict=True):
+        assert np.array_equal(got, want)
+    assert np.array_equal(lifted.cluster_sizes, part.cluster_sizes)
 
 def test_save_load_round_trip(tmp_path):
     ds = synth_mixture(4, 20, 3, 2, noise=0.3, seed=60)
@@ -501,6 +557,7 @@ BAD_BODIES = {
     "three_fields": ("0,1,5\n1,0,5\n", "assignment lines need 2 fields, got 3"),
     "count": ("\n0,1\n  \n", "1 assignment lines, header says n=2"),
     "no_body": ("# k=1\n", "0 assignment lines, header says n=2"),
+    "all_discarded": ("0,-1\n1,-1\n", "every point is discarded (cluster -1)"),
 }
 
 @pytest.mark.parametrize("case", sorted(BAD_BODIES))

@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from helpers import reference_clusters, reference_task_from_partition
 from metafew.data import DataSet, synth_mixture
 from metafew.errors import (ConfigError, DataError, InfeasibleError, TaskRejected)
-from metafew.partition import (generate_hyperplane_partitions, generate_partitions,
-                               partition_from_labels, random_partition)
+from metafew.partition import (Partition, generate_hyperplane_partitions,
+                               generate_partitions, partition_from_labels,
+                               random_partition)
 from metafew.tasks import (Task, TaskStreamConfig, eligible_clusters,
                            make_supervised_task_stream, make_task_stream,
                            mix_task_streams, read_task_manifest,
@@ -26,19 +30,33 @@ def partitions(ds):
 # -- single-task sampling ------------------------------------------------------
 
 def test_exact_fit_uses_every_member(ds):
-    part = partition_from_labels(ds)
-    # shrink clusters to exactly R members
+    # the first three label clusters, shrunk to exactly R members
     r = 4
-    part.clusters = [c[:r] for c in part.clusters[:3]]
     assignment = np.full(ds.n, -1, dtype=np.int64)
-    for c, members in enumerate(part.clusters):
-        assignment[members] = c
-    part.assignment = assignment
+    for c, members in enumerate(partition_from_labels(ds).clusters[:3]):
+        assignment[members[:r]] = c
+    part = Partition(assignment, provenance="supervised")
     rng = np.random.default_rng(72)
     task = sample_task_from_partition(part, 3, 1, 3, rng, ds)
     used = np.sort(np.concatenate([task.train_indices, task.query_indices]))
     expect = np.sort(np.concatenate(part.clusters))
     assert np.array_equal(used, expect)
+
+@pytest.mark.parametrize("input_repr", ["raw", "embedding"])
+def test_sampled_task_equals_cluster_by_cluster_reference(ds, partitions, input_repr):
+    for part in (partitions[0], partition_from_labels(ds, "meta-train")):
+        for seed in range(5):
+            got = sample_task_from_partition(part, 3, 2, 3, np.random.default_rng(seed),
+                                             ds, input_repr, split="meta-train")
+            want = reference_task_from_partition(
+                reference_clusters(part.assignment), 3, 2, 3,
+                np.random.default_rng(seed), ds, input_repr, split="meta-train")
+            for f in fields(Task):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(b, np.ndarray):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                else:
+                    assert a == b
 
 def test_counts_two_way(ds, partitions):
     rng = np.random.default_rng(73)

@@ -12,17 +12,14 @@ from metafew.cli import main
 from metafew.data import DataSet, save_dataset_csv
 from metafew.evaluation import (ComparisonRow, EvalReport, write_comparison_csv,
                                 write_report_csv)
-from metafew.partition import (Hyperplane, Partition, _clusters_from_assignment,
-                               save_partition)
+from metafew.partition import Hyperplane, Partition, save_partition
 from metafew.tasks import Task, write_task_manifest
 
 CONFIG = "tool=metafew 0.1.0\ncommand=test\nout=x y.csv"
 
 
 def _partition(assignment, **fields):
-    assignment = np.array(assignment, dtype=np.int64)
-    return Partition(assignment=assignment,
-                     clusters=_clusters_from_assignment(assignment), **fields)
+    return Partition(assignment=np.array(assignment, dtype=np.int64), **fields)
 
 
 def _task(perm, source, train, query, **fields):
@@ -240,22 +237,28 @@ def test_writers_keep_their_exact_bytes(tmp_path, monkeypatch):
 def test_compare_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
     assert main(["synth", f"out={tmp_path / 'ds.emb1'}", "classes=3", "per_class=6",
                  "d_in=2", "d_z=2"]) == 0
-    assert main(["evaluate", f"data={tmp_path / 'ds.emb1'}", f"out={tmp_path / 'a.csv'}",
+    report = tmp_path / "a.csv"
+    assert main(["evaluate", f"data={tmp_path / 'ds.emb1'}", f"out={report}",
                  "learner=knn", "split=meta-train", "tasks=3", "n_way=2",
                  "k_shot=1", "q_queries=1"]) == 0
+    # a learner name that an ASCII stdout cannot hold
+    report.write_text(report.read_text(encoding="utf-8").replace(
+        "# learner=knn\n", "# learner=knn\u00e9\n"), encoding="utf-8")
     (tmp_path / "é").mkdir()
     table = tmp_path / "é" / "t.csv"
     env = {k: v for k, v in os.environ.items()
            if k not in ("LANG", "LANGUAGE", "PYTHONUTF8") and not k.startswith("LC_")}
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    written = {}
+    written, printed = {}, {}
     for mode, extra in (("utf8=1", {}),
                         ("utf8=0", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"})):
         run = subprocess.run([sys.executable, "-X", mode, "-m", "metafew.cli", "compare",
                               "a.csv", "out=é/t.csv"], cwd=tmp_path, env={**env, **extra},
-                             capture_output=True, text=True)
+                             capture_output=True, encoding="utf-8")
         assert run.returncode == 0, run.stderr
-        written[mode] = table.read_bytes()
+        written[mode], printed[mode] = table.read_bytes(), run.stdout
         table.unlink()
     assert written["utf8=0"] == written["utf8=1"]
     assert b"# out=\xc3\xa9/t.csv\n" in written["utf8=1"]
+    assert b"knn\xc3\xa9," in written["utf8=1"]
+    assert "knn\u00e9" in printed["utf8=1"] and "knn\\xe9" in printed["utf8=0"]
