@@ -3,6 +3,9 @@
 Run from the repository root:  python demos/01_data_and_whitening.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from metafew import (SplitSpec, load_dataset, pca_whiten, save_dataset,
@@ -46,6 +49,8 @@ print()
 print("=" * 60)
 print("4. binary round trip")
 print("=" * 60)
-save_dataset(white, "/tmp/demo_dataset.emb1")
-back = load_dataset("/tmp/demo_dataset.emb1")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_dataset.emb1"
+    save_dataset(white, path)
+    back = load_dataset(path)
 print(f"round trip exact: {back.equals(white)}")

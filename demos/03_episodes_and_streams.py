@@ -1,16 +1,18 @@
 """Assemble N-way K-shot episodes from partitions, labels, and attributes,
-and mix two task streams at a fixed ratio.
+and write them to a task manifest.
 
 Run from the repository root:  python demos/03_episodes_and_streams.py
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from metafew import (DataSet, TaskStreamConfig, generate_partitions,
                      make_supervised_task_stream, make_task_stream,
-                     mix_task_streams, sample_eligible_attribute_task,
-                     sample_task_from_partition, synth_mixture, validate_task,
-                     write_task_manifest)
+                     sample_eligible_attribute_task, sample_task_from_partition,
+                     synth_mixture, validate_task, write_task_manifest)
 
 ds = synth_mixture(num_classes=8, per_class=30, d_in=10, d_z=4, noise=0.5,
                    seed=31)
@@ -59,23 +61,11 @@ print(f"attribute task: 2-way, patterns {t.source_ids} "
 
 print()
 print("=" * 60)
-print("4. fixed-ratio stream mixing")
-print("=" * 60)
-a = make_task_stream(TaskStreamConfig(tasks=4000, n_way=3, k_shot=1,
-                                      q_queries=3, seed=43), parts, ds)
-b = make_supervised_task_stream(TaskStreamConfig(tasks=4000, n_way=3, k_shot=1,
-                                                 q_queries=3, seed=45), ds)
-mixed = mix_task_streams(a, b, ratio=0.75, rng=np.random.default_rng(47))
-from_a = sum(1 for t in mixed if t.partition_index is not None and
-             parts[t.partition_index].provenance == "kmeans")
-print(f"ratio 0.75 -> unsupervised fraction over the mixed stream: "
-      f"{from_a / 4000:.3f} (approximate; stream ends with its source)")
-
-print()
-print("=" * 60)
-print("5. manifests reference rows, never copy data")
+print("4. manifests reference rows, never copy data")
 print("=" * 60)
 tasks = list(make_task_stream(TaskStreamConfig(tasks=5, n_way=3, k_shot=1,
                                                q_queries=3, seed=49), parts, ds))
-write_task_manifest(tasks, "/tmp/demo_tasks.txt", dataset_ref="demo.emb1")
-print(open("/tmp/demo_tasks.txt").read()[:400] + "...")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "tasks.txt"
+    write_task_manifest(tasks, path, dataset_ref="demo.emb1")
+    print(path.read_text(encoding="utf-8")[:400] + "...")

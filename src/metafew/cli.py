@@ -4,7 +4,8 @@ evaluate | compare.
 Each subcommand takes an optional key=value config file followed by
 key=value overrides (overrides win). Every output artifact embeds the
 effective config and tool version. Exit codes: 0 success, 2 config error,
-3 data error, 4 numeric failure.
+3 data error, 4 numeric failure (including floating-point overflow,
+invalid values and division by zero).
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .partition import (_lift, generate_hyperplane_partitions,
                         random_partition, save_partition)
 from .tasks import (TaskStreamConfig, make_supervised_task_stream,
                     make_task_stream, read_task_manifest,
-                    sample_eligible_attribute_task, task_rng,
-                    write_task_manifest)
+                    sample_eligible_attribute_task, write_task_manifest)
 
 REQUIRED = object()
 
@@ -348,7 +348,7 @@ def cmd_gen_tasks(cfg: dict, echo: str) -> int:
                 or None)
         tasks = []
         for t in range(cfg["tasks"]):
-            rng = task_rng(cfg["seed"], t)
+            rng = stable_rng(cfg["seed"], t)
             task = sample_eligible_attribute_task(
                 ds, cfg["split"], cfg["k_shot"], cfg["q_queries"], rng,
                 attr_pool=pool, input_repr=cfg["input_repr"])
@@ -526,14 +526,17 @@ def _dispatch(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return _dispatch(sys.argv[1:] if argv is None else list(argv))
+        # overflow, invalid values and division by zero end the run; a
+        # result built on them would be silently wrong
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _dispatch(sys.argv[1:] if argv is None else list(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except MetafewError as exc:

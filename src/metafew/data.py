@@ -1,6 +1,6 @@
 """Datasets of raw observations, optional embeddings, labels and boolean
-attributes, with split tags, binary/CSV I/O, PCA whitening and a synthetic
-mixture generator."""
+attributes, with split tags, binary I/O, a CSV reader, PCA whitening and a
+synthetic mixture generator."""
 
 from __future__ import annotations
 
@@ -8,13 +8,13 @@ import csv
 import io
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .ioutil import (fmt_float, naming, read_config_trailer, read_text,
-                     write_config_trailer, write_text)
+                     write_config_trailer)
 
 SPLITS = ("meta-train", "meta-val", "meta-test")
 _SPLIT_CODE = {name: i for i, name in enumerate(SPLITS)}
@@ -114,27 +114,21 @@ def split_code(name: str) -> int:
 
 @dataclass
 class SplitSpec:
-    """How rows (and, for attribute mode, attribute indices) are divided
-    into meta-train / meta-val / meta-test.
+    """How rows are divided into meta-train / meta-val / meta-test.
 
     by_fraction: fractions of shuffled rows.
     by_class: explicit class-id lists; every row of a class lands in one
       split and the lists must cover all classes exactly once.
-    by_attribute_range: rows are split by fractions, while the attribute
-      index lists (disjoint, covering all attributes) declare which
-      attributes may define tasks in each split; they are bookkeeping for
-      task generation, not row membership.
     """
 
     mode: str
     fractions: tuple[float, float, float] | None = None
     class_lists: tuple | None = None
-    attr_lists: tuple | None = None
 
     def validate(self, ds: DataSet) -> None:
-        if self.mode not in ("by_fraction", "by_class", "by_attribute_range"):
+        if self.mode not in ("by_fraction", "by_class"):
             raise ConfigError(f"unknown split mode {self.mode!r}")
-        if self.mode in ("by_fraction", "by_attribute_range"):
+        if self.mode == "by_fraction":
             if self.fractions is None or len(self.fractions) != 3:
                 raise ConfigError("fractions must be a (train, val, test) triple")
             if any(f < 0 for f in self.fractions) or abs(sum(self.fractions) - 1.0) > 1e-9:
@@ -153,16 +147,6 @@ class SplitSpec:
                 extra = sorted(set(seen) - present)
                 raise ConfigError(f"class lists must cover the dataset exactly; "
                                   f"missing {missing}, unknown {extra}")
-        if self.mode == "by_attribute_range":
-            if ds.attributes is None:
-                raise ConfigError("by_attribute_range split requires attributes")
-            if self.attr_lists is None or len(self.attr_lists) != 3:
-                raise ConfigError("attr_lists must be a (train, val, test) triple")
-            seen = [a for lst in self.attr_lists for a in lst]
-            if len(seen) != len(set(seen)):
-                raise ConfigError("attribute lists overlap across splits")
-            if set(seen) != set(range(ds.num_attributes)):
-                raise ConfigError("attribute lists must cover all attribute indices")
 
 
 def split_dataset(ds: DataSet, spec: SplitSpec, rng: np.random.Generator) -> DataSet:
@@ -182,10 +166,6 @@ def split_dataset(ds: DataSet, spec: SplitSpec, rng: np.random.Generator) -> Dat
         tags[order[:n_train]] = 0
         tags[order[n_train:n_train + n_val]] = 1
         tags[order[n_train + n_val:]] = 2
-    return replace_split(ds, tags)
-
-
-def replace_split(ds: DataSet, tags: np.ndarray) -> DataSet:
     return DataSet(ds.raw, ds.embeddings, ds.labels, ds.attributes, tags)
 
 
@@ -194,8 +174,8 @@ def replace_split(ds: DataSet, tags: np.ndarray) -> DataSet:
 EIGENVALUE_FLOOR = 1e-10
 
 
-def pca_whiten(ds: DataSet, d_out: int, stats_split: str | None = "meta-train",
-               floor: float = EIGENVALUE_FLOOR) -> DataSet:
+def pca_whiten(ds: DataSet, d_out: int,
+               stats_split: str | None = "meta-train") -> DataSet:
     """Replace embeddings with their top-d_out whitened principal components.
 
     Statistics (mean and covariance) come from stats_split rows by default;
@@ -217,10 +197,10 @@ def pca_whiten(ds: DataSet, d_out: int, stats_split: str | None = "meta-train",
     order = np.argsort(eigvals)[::-1][:d_out]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    if np.any(eigvals < floor):
-        bad = [fmt_float(v) for v in eigvals[eigvals < floor]]
-        raise DataError(
-            f"degenerate directions: eigenvalues {bad} below floor {fmt_float(floor)}")
+    if np.any(eigvals < EIGENVALUE_FLOOR):
+        bad = [fmt_float(v) for v in eigvals[eigvals < EIGENVALUE_FLOOR]]
+        raise DataError(f"degenerate directions: eigenvalues {bad} below floor "
+                        f"{fmt_float(EIGENVALUE_FLOOR)}")
     # canonical sign: largest-magnitude entry of each component positive
     flip = np.sign(eigvecs[np.abs(eigvecs).argmax(axis=0), np.arange(d_out)])
     eigvecs = eigvecs * flip
@@ -281,14 +261,13 @@ def save_dataset(ds: DataSet, path, config_text: str | None = None) -> None:
 
 
 def _load_emb1(fh, path) -> DataSet:
-    """Read an open EMB1 file: the float blocks go straight into their
-    arrays, and only the tail after them is read as bytes."""
-    head = fh.read(21)
-    if head[:4] != DATASET_MAGIC:
-        raise DataError(f"{path}: bad magic {head[:4]!r}, expected {DATASET_MAGIC!r}")
-    if len(head) < 21:
+    """Read an open EMB1 file from just past its magic: the float blocks go
+    straight into their arrays, and only the tail after them is read as
+    bytes."""
+    head = fh.read(17)
+    if len(head) < 17:
         raise DataError(f"{path}: truncated header")
-    n, d_in, d_z, n_attr, flags = struct.unpack_from("<IIIIB", head, 4)
+    n, d_in, d_z, n_attr, flags = struct.unpack("<IIIIB", head)
     size = os.fstat(fh.fileno()).st_size
 
     def read_floats(cols):
@@ -330,7 +309,7 @@ def _load_emb1(fh, path) -> DataSet:
         return DataSet(raw, embeddings, labels, attributes, split)
 
 
-# -- CSV format -------------------------------------------------------------
+# -- CSV reader -------------------------------------------------------------
 
 def _header_group(fields: list[str], prefix: str, path) -> list[int]:
     cols = [i for i, name in enumerate(fields) if name.startswith(prefix)]
@@ -387,44 +366,19 @@ def _load_csv(path) -> DataSet:
     return DataSet(raw, embeddings, labels, attributes)
 
 
-def save_dataset_csv(ds: DataSet, path) -> None:
-    header = [f"raw_{j}" for j in range(ds.d_in)]
-    header += [f"emb_{j}" for j in range(ds.d_z)]
-    if ds.labels is not None:
-        header.append("label")
-    header += [f"attr_{j}" for j in range(ds.num_attributes)]
-    rows = [header]
-    for i in range(ds.n):
-        row = [fmt_float(v) for v in ds.raw[i]]
-        if ds.embeddings is not None:
-            row += [fmt_float(v) for v in ds.embeddings[i]]
-        if ds.labels is not None:
-            row.append(str(int(ds.labels[i])))
-        if ds.attributes is not None:
-            row += [str(int(v)) for v in ds.attributes[i]]
-        rows.append(row)
-    write_text(path, (), "".join(",".join(row) + "\n" for row in rows))
-
-
-def load_dataset(path, format: str = "auto") -> DataSet:
-    """Read an EMB1 or CSV dataset. An EMB1 config trailer, if present,
-    must be well formed; its text is not returned.
+def load_dataset(path) -> DataSet:
+    """Read an EMB1 dataset, or a CSV one when the file does not start with
+    the EMB1 magic. An EMB1 config trailer, if present, must be well
+    formed; its text is not returned.
 
     A float block whose largest magnitude M could overflow a squared
     distance is a DataError: over d columns such a sum is at most 4*d*M**2,
     and M may not exceed sqrt(max_float / (8*d)), which keeps that bound
     a factor of two below overflow for rounding (about 4.7e153 at d=1).
     The same scan makes a NaN entry a DataError."""
-    if format not in ("auto", "emb1", "csv"):
-        raise ConfigError(f"unknown dataset format {format!r}")
-    if format == "auto":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-        format = "emb1" if magic == DATASET_MAGIC else "csv"
-    if format == "emb1":
-        with open(path, "rb") as fh:
-            ds = _load_emb1(fh, path)
-    else:
+    with open(path, "rb") as fh:
+        ds = _load_emb1(fh, path) if fh.read(4) == DATASET_MAGIC else None
+    if ds is None:
         ds = _load_csv(path)
     for name, block in (("raw", ds.raw), ("embeddings", ds.embeddings)):
         if block is None or block.size == 0:

@@ -106,20 +106,13 @@ def task_chunks(tasks: list[Task]) -> list[list[Task]]:
     return chunks
 
 
-def per_task(predict_fn: Callable[[Task, np.random.Generator], np.ndarray]):
-    """The chunk form of a per-task learner: it predicts each task alone."""
-    def predict_chunk(tasks: list[Task], rngs: list[np.random.Generator]) -> list:
-        return [predict_fn(task, rng) for task, rng in zip(tasks, rngs)]
-    return predict_chunk
-
-
 def evaluate(predict_fn: Callable, tasks: list[Task], learner_id: str = "",
              fingerprint: str = "", seed: int = 0) -> EvalReport:
     """Per-task accuracy of predict_fn over a fixed task set.
 
     predict_fn(tasks, rngs) takes a chunk of equally shaped tasks (see
     task_chunks) with one generator each and returns one prediction array
-    per task; per_task adapts a learner that predicts one task at a time.
+    per task.
 
     The per-task generator is keyed to (seed, task.task_seed), so stochastic
     learners stay deterministic and invariant to task order and chunking.

@@ -169,11 +169,6 @@ def maml_predict(params: ModelParams, task: Task, inner_lr: float = 0.05,
 
 # -- prototypical networks ---------------------------------------------------------
 
-def protonet_embed(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Forward pass of the embedding network (no classifier head)."""
-    return forward(params, inputs)
-
-
 def protonet_prototypes(embedded: np.ndarray, onehot_labels: np.ndarray) -> np.ndarray:
     """Per-class arithmetic means of the embedded train shots, one set per
     task for a (B, n, d) stack."""
@@ -199,8 +194,8 @@ def protonet_classify(prototypes: np.ndarray, embedded_queries: np.ndarray) -> n
 
 def protonet_predict(params: ModelParams, task: Task) -> np.ndarray:
     """Nearest-prototype query labels, one row per task for a stacked task."""
-    protos = protonet_prototypes(protonet_embed(params, task.train_x), task.train_y)
-    return protonet_classify(protos, protonet_embed(params, task.query_x)).argmax(axis=-1)
+    protos = protonet_prototypes(forward(params, task.train_x), task.train_y)
+    return protonet_classify(protos, forward(params, task.query_x)).argmax(axis=-1)
 
 
 def protonet_loss_grad(params: ModelParams,

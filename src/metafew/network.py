@@ -231,15 +231,6 @@ def _mean_xent(logp: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     return float(loss) if loss.ndim == 0 else loss
 
 
-def xent_loss(params: ModelParams, inputs: np.ndarray,
-              onehot_labels: np.ndarray) -> float | np.ndarray:
-    y = check_onehot(onehot_labels)
-    logits = forward(params, inputs)
-    if y.shape != logits.shape:
-        raise ShapeError(f"labels {y.shape} vs logits {logits.shape}")
-    return _mean_xent(log_softmax(logits), y)
-
-
 def xent_loss_grad(params: ModelParams, inputs: np.ndarray,
                    onehot_labels: np.ndarray) -> tuple[float | np.ndarray, ModelParams]:
     """Mean softmax cross-entropy over the batch and its exact parameter
@@ -360,7 +351,6 @@ def apply_sgd(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams
 
 @dataclass
 class OptimizerState:
-    kind: str
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -374,15 +364,13 @@ def init_adam(params: ModelParams, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> OptimizerState:
     if lr <= 0:
         raise ContractError("learning rate must be positive")
-    return OptimizerState("adam", lr, beta1, beta2, epsilon,
+    return OptimizerState(lr, beta1, beta2, epsilon,
                           np.zeros_like(params.vector), np.zeros_like(params.vector), 0)
 
 
 def apply_adam(params: ModelParams, grads: ModelParams,
                state: OptimizerState) -> tuple[ModelParams, OptimizerState]:
     """One bias-corrected Adam step; returns fresh params and state."""
-    if state.kind != "adam":
-        raise ContractError(f"optimizer state kind {state.kind!r} is not adam")
     _check_compatible(params, grads)
     if state.m.shape != params.vector.shape:
         raise ShapeError(f"optimizer moments {state.m.shape} != parameters "

@@ -312,7 +312,6 @@ def _plusplus_init(y, k, rng):
 
 
 def generate_partitions(ds: DataSet, P: int, k: int, seed: int,
-                        scaling: str | np.ndarray = "random",
                         split: str = "meta-train",
                         **kmeans_kwargs) -> list[Partition]:
     """P independent k-means partitions of the split's embeddings, each under
@@ -325,12 +324,7 @@ def generate_partitions(ds: DataSet, P: int, k: int, seed: int,
 
     def build(p: int) -> Partition:
         rng = stable_rng(seed, p)
-        if isinstance(scaling, str):
-            if scaling != "random":
-                raise ConfigError(f"unknown scaling mode {scaling!r}")
-            diag = 1.0 - rng.random(points.shape[1])  # uniform on (0, 1]
-        else:
-            diag = np.asarray(scaling, dtype=np.float64)
+        diag = 1.0 - rng.random(points.shape[1])  # uniform on (0, 1]
         part = kmeans(points, k, scaling=diag, seed=rng, **kmeans_kwargs)
         part.seed = seed
         return _lift(part, rows, ds.n)
@@ -420,23 +414,20 @@ def partition_by_hyperplanes(points: np.ndarray, hyperplanes: list[Hyperplane],
 
 
 def hyperplane_partition(points: np.ndarray, n_way: int, margin: float, r_min: int,
-                         seed: int | np.random.Generator,
-                         pool: list[Hyperplane] | None = None,
+                         seed: int | np.random.Generator, pool: list[Hyperplane],
                          retry_cap: int = HYPERPLANE_RETRY_CAP) -> Partition:
-    """Slice the space with H = ceil(log2 n_way) hyperplanes; reject and
-    retry while fewer than n_way subsets survive margin and size pruning.
-    Non-finite points are caught by the slicing's first plane."""
+    """Slice the space with H = ceil(log2 n_way) hyperplanes drawn from the
+    pool; reject and retry while fewer than n_way subsets survive margin
+    and size pruning. Non-finite points are caught by the slicing's first
+    plane."""
     points = _as_points(points)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     h = max(1, math.ceil(math.log2(n_way)))
+    if len(pool) < h:
+        raise ConfigError(f"pool of {len(pool)} hyperplanes < H={h}")
     last_kept = 0.0
     for _ in range(retry_cap + 1):
-        if pool is None:
-            planes = sample_hyperplanes(points, h, rng)
-        else:
-            if len(pool) < h:
-                raise ConfigError(f"pool of {len(pool)} hyperplanes < H={h}")
-            planes = [pool[i] for i in rng.choice(len(pool), size=h, replace=False)]
+        planes = [pool[i] for i in rng.choice(len(pool), size=h, replace=False)]
         part = partition_by_hyperplanes(points, planes, margin, r_min)
         if part.num_clusters >= n_way:
             part.seed = None if isinstance(seed, np.random.Generator) else int(seed)

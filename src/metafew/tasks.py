@@ -1,11 +1,11 @@
 """N-way K-shot episode assembly from partitions, labels, and attribute
-annotations, plus lazy task streams and stream mixing."""
+annotations, plus lazy task streams."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .data import DataSet, split_code
 from .errors import (ConfigError, DataError, InfeasibleError, ShapeError,
                      TaskRejected)
 from .ioutil import body_lines, parse_field, read_text, stable_rng, write_text
-from .partition import Partition, signed_distance
+from .partition import Partition, partition_from_labels, signed_distance
 
 INPUT_REPRS = ("raw", "embedding")
 
@@ -142,18 +142,6 @@ def sample_task_from_partition(partition: Partition, n_way: int, k_shot: int,
                       source_ids=np.asarray(chosen, dtype=np.int64), split=split)
 
 
-def sample_supervised_task(ds: DataSet, split: str, n_way: int, k_shot: int,
-                           q_queries: int, rng: np.random.Generator,
-                           input_repr: str = "raw",
-                           partition: Partition | None = None) -> Task:
-    """Task from ground-truth labels of a split (oracle / evaluation tasks)."""
-    from .partition import partition_from_labels
-    if partition is None:
-        partition = partition_from_labels(ds, split)
-    return sample_task_from_partition(partition, n_way, k_shot, q_queries,
-                                      rng, ds, input_repr, split=split)
-
-
 def sample_attribute_task(ds: DataSet, split: str, attr_indices, attr_values,
                           k_shot: int, q_queries: int, rng: np.random.Generator,
                           input_repr: str = "raw") -> Task:
@@ -223,12 +211,6 @@ class TaskStreamConfig:
             raise ConfigError(f"unknown input_repr {self.input_repr!r}")
 
 
-def task_rng(stream_seed: int, index: int) -> np.random.Generator:
-    """Per-task generator: stream seed mixed with the task index, so any
-    task is reproducible in isolation."""
-    return stable_rng(stream_seed, index)
-
-
 def make_task_stream(cfg: TaskStreamConfig, partitions: list[Partition],
                      ds: DataSet) -> Iterator[Task]:
     """Lazy sequence of cfg.tasks tasks. Each task first samples a partition
@@ -252,7 +234,7 @@ def make_task_stream(cfg: TaskStreamConfig, partitions: list[Partition],
 
     def generate() -> Iterator[Task]:
         for t in range(cfg.tasks):
-            rng = task_rng(cfg.seed, t)
+            rng = stable_rng(cfg.seed, t)  # any task is reproducible alone
             if per_block > 1:
                 block_rng = stable_rng(cfg.seed, t // per_block, 1)
                 slot = int(block_rng.integers(len(usable)))
@@ -271,24 +253,8 @@ def make_task_stream(cfg: TaskStreamConfig, partitions: list[Partition],
 
 def make_supervised_task_stream(cfg: TaskStreamConfig, ds: DataSet) -> Iterator[Task]:
     """Stream of label-derived tasks from the configured split."""
-    from .partition import partition_from_labels
     part = partition_from_labels(ds, cfg.split)
     return make_task_stream(cfg, [part], ds)
-
-
-def mix_task_streams(stream_a: Iterable[Task], stream_b: Iterable[Task],
-                     ratio: float, rng: np.random.Generator) -> Iterator[Task]:
-    """Emit from stream_a with probability ratio, else stream_b; ends when
-    the chosen stream is exhausted."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigError(f"ratio must lie in [0, 1], got {ratio}")
-    a, b = iter(stream_a), iter(stream_b)
-    while True:
-        source = a if rng.random() < ratio else b
-        try:
-            yield next(source)
-        except StopIteration:
-            return
 
 
 # -- validation ------------------------------------------------------------------

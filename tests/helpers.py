@@ -4,14 +4,17 @@ exhaustive 2-cluster k-means enumeration, a scalar Adam trace, per-query kNN and
 forms of the k-means assignment and hyperplane slicing kernels that pin
 their bits, the hand-built cluster lists and centroids of every partition
 builder, and the per-task episode assembly. These never call the code
-paths they check."""
+paths they check. Last come the test-only adapters: per-task learners in
+chunk form, label-derived episodes, and the CSV dataset fixture writer."""
 
 import itertools
 
 import numpy as np
 
+from metafew.ioutil import fmt_float, write_text
 from metafew.network import ModelParams
-from metafew.tasks import Task
+from metafew.partition import partition_from_labels
+from metafew.tasks import Task, sample_task_from_partition
 
 
 def finite_difference_grad(loss_fn, params: ModelParams, h: float = 1e-5) -> ModelParams:
@@ -252,3 +255,39 @@ def reference_task_from_partition(clusters, n_way, k_shot, q_queries, rng, ds,
                 train_indices=train_idx, query_indices=query_idx,
                 label_perm=perm, source_ids=np.asarray(chosen, dtype=np.int64),
                 input_repr=input_repr, split=split)
+
+
+def per_task(predict_fn):
+    """The chunk form of a per-task learner predict_fn(task, rng): it
+    predicts each task of the chunk alone."""
+    def predict_chunk(tasks, rngs):
+        return [predict_fn(task, rng) for task, rng in zip(tasks, rngs)]
+    return predict_chunk
+
+
+def sample_supervised_task(ds, split, n_way, k_shot, q_queries, rng,
+                           input_repr="raw"):
+    """One episode over the ground-truth classes of a split."""
+    return sample_task_from_partition(partition_from_labels(ds, split), n_way,
+                                      k_shot, q_queries, rng, ds, input_repr,
+                                      split=split)
+
+
+def save_dataset_csv(ds, path):
+    """The CSV form load_dataset reads: raw_*, emb_*, label, attr_* columns."""
+    header = [f"raw_{j}" for j in range(ds.d_in)]
+    header += [f"emb_{j}" for j in range(ds.d_z)]
+    if ds.labels is not None:
+        header.append("label")
+    header += [f"attr_{j}" for j in range(ds.num_attributes)]
+    rows = [header]
+    for i in range(ds.n):
+        row = [fmt_float(v) for v in ds.raw[i]]
+        if ds.embeddings is not None:
+            row += [fmt_float(v) for v in ds.embeddings[i]]
+        if ds.labels is not None:
+            row.append(str(int(ds.labels[i])))
+        if ds.attributes is not None:
+            row += [str(int(v)) for v in ds.attributes[i]]
+        rows.append(row)
+    write_text(path, (), "".join(",".join(row) + "\n" for row in rows))

@@ -14,22 +14,23 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_two_means, finite_difference_grad, relative_error
+from helpers import (brute_force_two_means, finite_difference_grad, per_task,
+                     relative_error, sample_supervised_task)
 from metafew.baselines import cluster_matching_classify, cluster_membership
 from metafew.cli import main
 from metafew.data import SplitSpec, split_dataset, synth_mixture
-from metafew.evaluation import evaluate, per_task, read_report_csv
+from metafew.evaluation import evaluate, read_report_csv
 from metafew.learners import make_learner
 from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_model,
-                               meta_train, protonet_classify, protonet_embed,
+                               meta_train, protonet_classify,
                                protonet_loss_grad, protonet_prototypes)
-from metafew.network import (apply_sgd, grad_through_adaptation, init_mlp,
-                             xent_loss, xent_loss_grad)
+from metafew.network import (apply_sgd, forward, grad_through_adaptation,
+                             init_mlp, xent_loss_grad)
 from metafew.partition import (_lift, generate_hyperplane_partitions,
                                generate_partitions, kmeans, partition_from_labels,
                                random_partition)
 from metafew.tasks import (Task, TaskStreamConfig, make_supervised_task_stream,
-                           make_task_stream, sample_supervised_task, validate_task)
+                           make_task_stream, validate_task)
 
 
 @contextlib.contextmanager
@@ -76,15 +77,15 @@ def test_criterion_1_gradient_correctness():
             y = np.eye(n_way)[rng.integers(0, n_way, 4)]
 
             _, g = xent_loss_grad(net, x, y)
-            fd = finite_difference_grad(lambda p: xent_loss(p, x, y), net)
+            fd = finite_difference_grad(lambda p: xent_loss_grad(p, x, y)[0], net)
             assert relative_error(g, fd) <= 1e-4
 
             task = random_task_for(rng, d_in, n_way, 2, 3)
             _, pg = protonet_loss_grad(emb_net, task)
 
             def proto_loss(p):
-                es = protonet_embed(p, task.train_x)
-                eq = protonet_embed(p, task.query_x)
+                es = forward(p, task.train_x)
+                eq = forward(p, task.query_x)
                 logits = protonet_classify(protonet_prototypes(es, task.train_y), eq)
                 shifted = logits - logits.max(axis=1, keepdims=True)
                 logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -101,7 +102,7 @@ def test_criterion_1_gradient_correctness():
                 for _ in range(steps):
                     _, gi = xent_loss_grad(theta, task.train_x, task.train_y)
                     theta = apply_sgd(theta, gi, lr)
-                return xent_loss(theta, task.query_x, task.query_y)
+                return xent_loss_grad(theta, task.query_x, task.query_y)[0]
 
             # finer stencil: the unrolled trajectory can sit closer to a relu
             # kink than any single forward pass

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import reference_cluster_matching, reference_knn
+from helpers import (reference_cluster_matching, reference_knn,
+                     sample_supervised_task)
 from metafew.baselines import (cluster_matching_classify, cluster_membership,
                                knn_classify, linear_fit, linear_predict,
                                mlp_dropout_fit, mlp_dropout_predict,
@@ -12,7 +13,7 @@ from metafew.learners import make_learner
 from metafew.partition import (Partition, generate_partitions, kmeans,
                                nearest_centroids, partition_from_labels)
 from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
-                           sample_supervised_task, stack_tasks)
+                           stack_tasks)
 from test_metalearn import toy_task
 
 

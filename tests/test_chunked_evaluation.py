@@ -12,12 +12,12 @@ import pytest
 
 import metafew
 from metafew import evaluation
-from helpers import reference_cluster_matching, reference_knn
+from helpers import per_task, reference_cluster_matching, reference_knn
 from metafew.baselines import (linear_fit, linear_predict, mlp_dropout_fit,
                                mlp_dropout_predict, train_from_scratch)
 from metafew.data import synth_mixture
 from metafew.errors import DataError
-from metafew.evaluation import evaluate, per_task, task_chunks
+from metafew.evaluation import evaluate, task_chunks
 from metafew.ioutil import stable_rng
 from metafew.learners import LEARNER_IDS, make_learner
 from metafew.metalearn import (build_maml_model, build_protonet_model, maml_predict,

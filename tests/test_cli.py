@@ -11,7 +11,7 @@ from metafew.errors import ConfigError
 from metafew.evaluation import read_report_csv
 from metafew.ioutil import default_workers, stable_rng
 from metafew.metalearn import MetaConfig, initial_model, maml_predict, protonet_predict
-from metafew.network import load_checkpoint
+from metafew.network import load_checkpoint, save_checkpoint
 from metafew.partition import load_partition, pixel_partition
 from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
                            read_task_manifest)
@@ -558,6 +558,24 @@ def test_zero_layer_checkpoint_is_exit_3(tmp_path, dataset, partitions, command,
     err = capsys.readouterr().err
     assert err.startswith("data error:") and f"{zero}: checkpoint has no layers" in err
     assert "Traceback" not in err
+
+def test_evaluate_with_an_overflowing_checkpoint_is_exit_4(tmp_path, dataset,
+                                                          partitions, capsys):
+    # finite weights so large that the forward pass overflows; unguarded,
+    # this run printed a plausible mean accuracy of 0.5 and exited 0
+    ckpt = tmp_path / "model.ckpt"
+    assert main(meta_train_args(dataset, partitions, ckpt)) == 0
+    args = ["evaluate", f"data={dataset}", f"out={tmp_path / 'maml.csv'}",
+            "learner=maml", f"checkpoint={ckpt}", "tasks=10", "n_way=2",
+            "k_shot=1", "q_queries=2", "split=meta-train"]
+    assert main(args) == 0
+    params = load_checkpoint(ckpt)
+    params.vector *= 1e155
+    save_checkpoint(params, ckpt)
+    capsys.readouterr()
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "Traceback" not in err
 
 def test_evaluate_on_a_split_without_rows_is_exit_3(tmp_path, capsys):
     # split_mode=none tags every row meta-train; evaluate defaults to meta-test

@@ -4,9 +4,9 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import save_dataset_csv
 from metafew.data import (DataSet, SplitSpec, load_dataset, pca_whiten,
-                          save_dataset, save_dataset_csv, split_dataset,
-                          synth_mixture)
+                          save_dataset, split_dataset, synth_mixture)
 from metafew.errors import ConfigError, DataError
 from metafew.partition import kmeans
 
@@ -167,17 +167,6 @@ def test_character_scale_class_split():
     out = split_dataset(ds, spec, np.random.default_rng(0))
     sizes = [out.split_indices(s).size for s in ("meta-train", "meta-val", "meta-test")]
     assert sizes == [1100, 100, 423]
-
-def test_attribute_range_split():
-    ds = small_dataset()
-    spec = SplitSpec("by_attribute_range", fractions=(0.5, 0.25, 0.25),
-                     attr_lists=([0, 1, 2], [3], [4]))
-    out = split_dataset(ds, spec, np.random.default_rng(6))
-    assert out.n == ds.n
-    bad = SplitSpec("by_attribute_range", fractions=(0.5, 0.25, 0.25),
-                    attr_lists=([0, 1], [1, 2], [3, 4]))
-    with pytest.raises(ConfigError, match="overlap"):
-        split_dataset(ds, bad, np.random.default_rng(6))
 
 
 # -- PCA whitening -----------------------------------------------------------------

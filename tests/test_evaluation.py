@@ -3,11 +3,12 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import per_task
 from metafew import evaluation
 from metafew.data import synth_mixture
 from metafew.errors import ConfigError
 from metafew.evaluation import (EvalReport, ci95_half_width, compare, evaluate,
-                                format_comparison, per_task, read_report_csv,
+                                format_comparison, read_report_csv,
                                 task_set_fingerprint, write_report_csv)
 from metafew.tasks import TaskStreamConfig, make_supervised_task_stream
 

@@ -7,14 +7,13 @@ from metafew.data import synth_mixture
 from metafew.errors import ShapeError
 from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_model,
                                maml_adapt, maml_predict, meta_train,
-                               protonet_classify, protonet_embed,
-                               protonet_loss_grad, protonet_predict,
-                               protonet_prototypes, prune_head)
+                               protonet_classify, protonet_loss_grad,
+                               protonet_predict, protonet_prototypes, prune_head)
 from metafew.network import (Layer, apply_adam, forward, grad_through_adaptation,
                              init_adam, init_mlp, xent_loss_grad)
 from metafew.partition import generate_partitions, partition_from_labels
 from metafew.tasks import (Task, TaskStreamConfig, make_supervised_task_stream,
-                           make_task_stream, sample_supervised_task, stack_tasks)
+                           make_task_stream, stack_tasks)
 
 
 def toy_task(rng, n_way=2, k=3, q=4, d=3, separation=3.0):
@@ -198,9 +197,9 @@ def test_stacked_maml_adapt_and_predict_equal_per_task_calls(B):
 def test_embed_identity_and_relu():
     ident = model_from_layers([Layer(np.eye(3), np.zeros(3), "identity")])
     x = np.array([[1.0, -2.0, 0.0]])
-    assert np.array_equal(protonet_embed(ident, x), x)
+    assert np.array_equal(forward(ident, x), x)
     relu = model_from_layers([Layer(np.eye(3), np.zeros(3), "relu")])
-    assert np.array_equal(protonet_embed(relu, -np.ones((2, 3))), np.zeros((2, 3)))
+    assert np.array_equal(forward(relu, -np.ones((2, 3))), np.zeros((2, 3)))
 
 def test_embed_matches_hand_computation():
     rng = np.random.default_rng(124)
@@ -208,7 +207,7 @@ def test_embed_matches_hand_computation():
     x = np.array([[0.5, -1.5]])
     w, b = net.layers[0].weights, net.layers[0].bias
     expect = np.maximum(x @ w + b, 0.0)
-    assert np.allclose(protonet_embed(net, x), expect)
+    assert np.allclose(forward(net, x), expect)
 
 def test_prototypes_examples():
     e = np.array([[0.0, 0.0], [2.0, 2.0]])
@@ -267,8 +266,8 @@ def test_protonet_gradient_matches_finite_differences(seed):
     _, grads = protonet_loss_grad(net, task)
 
     def loss_fn(p):
-        es = protonet_embed(p, task.train_x)
-        eq = protonet_embed(p, task.query_x)
+        es = forward(p, task.train_x)
+        eq = forward(p, task.query_x)
         protos = protonet_prototypes(es, task.train_y)
         logits = protonet_classify(protos, eq)
         shifted = logits - logits.max(axis=1, keepdims=True)

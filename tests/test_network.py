@@ -10,7 +10,7 @@ from metafew.network import (Layer, ModelParams, apply_adam, apply_sgd,
                              backprop_from_output, forward,
                              grad_through_adaptation, hvp_xent, init_adam,
                              init_mlp, load_checkpoint, save_checkpoint, softmax,
-                             xent_loss, xent_loss_grad)
+                             xent_loss_grad)
 
 
 def random_net(rng, dims=None, activations=None):
@@ -83,7 +83,7 @@ def test_uniform_logits_loss_is_log_n():
         params = model_from_layers([Layer(np.zeros((3, n)), np.zeros(n), "identity")])
         x = np.ones((4, 3))
         y = np.eye(n)[np.arange(4) % n]
-        assert xent_loss(params, x, y) == pytest.approx(np.log(n), rel=1e-12)
+        assert xent_loss_grad(params, x, y)[0] == pytest.approx(np.log(n), rel=1e-12)
 
 def test_two_class_zero_logit_gradient():
     # logits (0,0), label class 0 -> loss ln 2, dL/dlogits = (-0.5, +0.5)/B
@@ -109,7 +109,7 @@ def test_gradient_matches_finite_differences(seed):
     params = random_net(rng)
     x, y = random_batch(rng, params.in_dim, params.out_dim, int(rng.integers(1, 7)))
     _, grads = xent_loss_grad(params, x, y)
-    fd = finite_difference_grad(lambda p: xent_loss(p, x, y), params)
+    fd = finite_difference_grad(lambda p: xent_loss_grad(p, x, y)[0], params)
     assert relative_error(grads, fd) <= 1e-4
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -122,8 +122,8 @@ def test_loss_invariant_under_joint_class_permutation(seed):
     perm = rng.permutation(n)
     permuted = model_from_layers([Layer(params.layers[0].weights[:, perm],
                                   params.layers[0].bias[perm], "identity")])
-    assert xent_loss(params, x, y) == pytest.approx(
-        xent_loss(permuted, x, y[:, perm]), rel=1e-12)
+    assert xent_loss_grad(params, x, y)[0] == pytest.approx(
+        xent_loss_grad(permuted, x, y[:, perm])[0], rel=1e-12)
 
 
 # -- Hessian-vector products and meta-gradients ---------------------------------
@@ -200,7 +200,7 @@ def test_meta_grad_against_finite_differences(steps, first_order):
         for _ in range(steps):
             _, g = xent_loss_grad(theta, tx, ty)
             theta = apply_sgd(theta, g, lr)
-        return xent_loss(theta, qx, qy)
+        return xent_loss_grad(theta, qx, qy)[0]
 
     _, meta = grad_through_adaptation(params, (tx, ty), (qx, qy), lr, steps,
                                       first_order=first_order)
@@ -274,7 +274,7 @@ def test_stacked_meta_grad_matches_finite_differences():
             for _ in range(steps):
                 _, g = xent_loss_grad(theta, tx, ty)
                 theta = apply_sgd(theta, g, lr)
-            return xent_loss(theta, qx, qy)
+            return xent_loss_grad(theta, qx, qy)[0]
 
         fd = finite_difference_grad(query_loss_after_adaptation, params)
         assert relative_error(task_slice(stacked, b), fd) <= 1e-4

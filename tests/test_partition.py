@@ -16,6 +16,7 @@ from helpers import (brute_force_two_means, reference_assign, reference_centroid
                      scaled_objective)
 from metafew.data import DataSet, synth_mixture
 from metafew.errors import ConfigError, DataError, InfeasibleError, ShapeError
+from metafew.ioutil import stable_rng
 from metafew.partition import (Hyperplane, Partition, _lift, generate_hyperplane_partitions,
                                generate_partitions, hyperplane_partition, kmeans,
                                load_partition, partition_by_hyperplanes,
@@ -220,12 +221,14 @@ def test_small_instances_match_brute_force_local_optima(seed):
 
 # -- partition generation --------------------------------------------------------
 
-def test_generate_partitions_all_ones_matches_plain_kmeans():
+def test_generate_partitions_equal_kmeans_under_their_drawn_metric():
     ds = synth_mixture(5, 20, 4, 3, noise=0.3, seed=30)
-    parts = generate_partitions(ds, 1, 5, seed=31, scaling=np.ones(3))
-    direct = kmeans(ds.embeddings, 5, scaling=np.ones(3),
-                    seed=np.random.default_rng(np.random.SeedSequence([31, 0])))
-    assert np.array_equal(parts[0].assignment, direct.assignment)
+    parts = generate_partitions(ds, 2, 5, seed=31)
+    for p, part in enumerate(parts):
+        rng = stable_rng(31, p)
+        direct = kmeans(ds.embeddings, 5, scaling=1.0 - rng.random(3), seed=rng)
+        assert np.array_equal(part.assignment, direct.assignment)
+        assert np.array_equal(part.scaling, direct.scaling)
 
 def test_generate_partitions_differ_across_indices():
     ds = synth_mixture(6, 25, 4, 3, noise=0.4, seed=32)
@@ -264,10 +267,14 @@ def test_zero_normal_rejected():
     with pytest.raises(DataError):
         Hyperplane(np.zeros(2), np.zeros(2))
 
+def pool(pts, seed):
+    """20 hyperplanes through the points, from their own generator."""
+    return sample_hyperplanes(pts, 20, np.random.default_rng(seed))
+
 def test_hyperplane_count_for_five_ways():
     rng = np.random.default_rng(40)
     pts = rng.standard_normal((400, 6))
-    part = hyperplane_partition(pts, 5, margin=0.0, r_min=2, seed=41)
+    part = hyperplane_partition(pts, 5, margin=0.0, r_min=2, seed=41, pool=pool(pts, 41))
     assert len(part.hyperplanes) == 3  # ceil(log2 5)
     assert part.num_clusters <= 8
     part.validate()
@@ -290,7 +297,7 @@ def test_margin_keeps_far_points_only():
 def test_margin_property_holds_for_all_kept_points():
     rng = np.random.default_rng(43)
     pts = rng.standard_normal((500, 4))
-    part = hyperplane_partition(pts, 4, margin=0.2, r_min=3, seed=44)
+    part = hyperplane_partition(pts, 4, margin=0.2, r_min=3, seed=44, pool=pool(pts, 44))
     kept = np.flatnonzero(part.assignment >= 0)
     for h in part.hyperplanes:
         assert np.all(np.abs(signed_distance(h, pts[kept])) >= 0.2)
@@ -306,7 +313,8 @@ def test_infeasible_margin_reports_kept_fraction():
     rng = np.random.default_rng(46)
     pts = rng.standard_normal((50, 2))
     with pytest.raises(InfeasibleError, match="%"):
-        hyperplane_partition(pts, 4, margin=50.0, r_min=2, seed=47, retry_cap=5)
+        hyperplane_partition(pts, 4, margin=50.0, r_min=2, seed=47,
+                             pool=pool(pts, 47), retry_cap=5)
 
 def test_hyperplane_slicing_equals_all_rows_reference(monkeypatch):
     # row counts are multiples of 64: the all-rows product of the reference
@@ -449,7 +457,8 @@ def test_every_builder_has_the_hand_built_clusters_and_centroids(tmp_path):
     assert_clusters_and_centroids(km, reference_clusters(km.assignment),
                                   reference_centroids(pts, reference_clusters(km.assignment)))
     for seed in range(5):
-        hp = hyperplane_partition(pts, 4, margin=0.05, r_min=3, seed=seed)
+        hp = hyperplane_partition(pts, 4, margin=0.05, r_min=3, seed=seed,
+                                  pool=pool(pts, seed))
         assert_clusters_and_centroids(
             hp, reference_hyperplane_partition(pts, hp.hyperplanes, 0.05, 3)[1])
     rnd = random_partition(rows.size, 9, np.random.default_rng(83))
@@ -497,7 +506,7 @@ def test_save_load_round_trip(tmp_path):
 def test_save_load_hyperplane_partition(tmp_path):
     rng = np.random.default_rng(62)
     pts = rng.standard_normal((120, 3))
-    part = hyperplane_partition(pts, 4, margin=0.1, r_min=2, seed=63)
+    part = hyperplane_partition(pts, 4, margin=0.1, r_min=2, seed=63, pool=pool(pts, 63))
     path = tmp_path / "h.part"
     save_partition(part, path)
     loaded = load_partition(path)
@@ -511,7 +520,7 @@ def test_save_load_hyperplane_partition(tmp_path):
 def test_saved_body_lists_every_point_in_order(tmp_path):
     rng = np.random.default_rng(64)
     pts = rng.standard_normal((90, 3))
-    part = hyperplane_partition(pts, 4, margin=0.2, r_min=2, seed=65)
+    part = hyperplane_partition(pts, 4, margin=0.2, r_min=2, seed=65, pool=pool(pts, 65))
     assert np.any(part.assignment == -1)
     path = tmp_path / "b.part"
     save_partition(part, path)
@@ -531,8 +540,8 @@ def test_clusters_are_ascending_members_of_each_id(tmp_path):
 
 def test_load_skips_blank_lines_and_reads_headers_anywhere(tmp_path):
     rng = np.random.default_rng(67)
-    part = hyperplane_partition(rng.standard_normal((40, 3)), 3, margin=0.1,
-                                r_min=2, seed=68)
+    pts = rng.standard_normal((40, 3))
+    part = hyperplane_partition(pts, 3, margin=0.1, r_min=2, seed=68, pool=pool(pts, 68))
     path = tmp_path / "h.part"
     save_partition(part, path)
     lines = path.read_text().splitlines()

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+from helpers import save_dataset_csv
 from metafew.cli import main
-from metafew.data import load_dataset, save_dataset_csv
+from metafew.data import load_dataset
 
 PREFIX = {2: "config error: ", 3: "data error: ", 4: "numeric failure: "}
 TASK = ["n_way=2", "k_shot=1", "q_queries=2"]

@@ -3,7 +3,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import reference_clusters, reference_task_from_partition
+from helpers import (reference_clusters, reference_task_from_partition,
+                     sample_supervised_task)
 from metafew.data import DataSet, synth_mixture
 from metafew.errors import (ConfigError, DataError, InfeasibleError, TaskRejected)
 from metafew.partition import (Partition, generate_hyperplane_partitions,
@@ -11,10 +12,10 @@ from metafew.partition import (Partition, generate_hyperplane_partitions,
                                random_partition)
 from metafew.tasks import (Task, TaskStreamConfig, eligible_clusters,
                            make_supervised_task_stream, make_task_stream,
-                           mix_task_streams, read_task_manifest,
-                           sample_attribute_task, sample_eligible_attribute_task,
-                           sample_supervised_task, sample_task_from_partition,
-                           validate_task, write_task_manifest)
+                           read_task_manifest, sample_attribute_task,
+                           sample_eligible_attribute_task,
+                           sample_task_from_partition, validate_task,
+                           write_task_manifest)
 
 
 @pytest.fixture(scope="module")
@@ -193,33 +194,6 @@ def test_eligible_attribute_resampling():
     task = sample_eligible_attribute_task(ds, "meta-train", 5, 5,
                                           np.random.default_rng(93))
     validate_task(task, ds)
-
-
-# -- mixing ------------------------------------------------------------------------
-
-def _const_stream(tag, count):
-    for _ in range(count):
-        yield tag
-
-def test_mix_ratio_extremes():
-    rng = np.random.default_rng(94)
-    assert list(mix_task_streams(_const_stream("a", 5), _const_stream("b", 5),
-                                 1.0, rng)) == ["a"] * 5
-    rng = np.random.default_rng(95)
-    assert list(mix_task_streams(_const_stream("a", 5), _const_stream("b", 5),
-                                 0.0, rng)) == ["b"] * 5
-
-def test_mix_ratio_frequency():
-    rng = np.random.default_rng(96)
-    out = list(mix_task_streams(_const_stream("a", 20000), _const_stream("b", 20000),
-                                0.5, rng))
-    frac = out.count("a") / len(out)
-    assert abs(frac - 0.5) <= 0.02
-
-def test_mix_rejects_bad_ratio():
-    with pytest.raises(ConfigError):
-        list(mix_task_streams(_const_stream("a", 1), _const_stream("b", 1), 1.5,
-                              np.random.default_rng(0)))
 
 
 # -- invariants ----------------------------------------------------------------------

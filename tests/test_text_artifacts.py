@@ -9,7 +9,8 @@ import numpy as np
 
 from metafew import cli
 from metafew.cli import main
-from metafew.data import DataSet, save_dataset_csv
+from helpers import save_dataset_csv
+from metafew.data import DataSet
 from metafew.evaluation import (ComparisonRow, EvalReport, write_comparison_csv,
                                 write_report_csv)
 from metafew.partition import Hyperplane, Partition, save_partition
