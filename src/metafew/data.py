@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .ioutil import (fmt_float, naming, read_config_trailer, read_text,
-                     write_config_trailer)
+from .ioutil import (fmt_float, magnitude_limit, naming, read_config_trailer,
+                     read_text, write_config_trailer)
 
 SPLITS = ("meta-train", "meta-val", "meta-test")
 _SPLIT_CODE = {name: i for i, name in enumerate(SPLITS)}
@@ -371,10 +371,8 @@ def load_dataset(path) -> DataSet:
     the EMB1 magic. An EMB1 config trailer, if present, must be well
     formed; its text is not returned.
 
-    A float block whose largest magnitude M could overflow a squared
-    distance is a DataError: over d columns such a sum is at most 4*d*M**2,
-    and M may not exceed sqrt(max_float / (8*d)), which keeps that bound
-    a factor of two below overflow for rounding (about 4.7e153 at d=1).
+    A float block whose largest magnitude could overflow a squared
+    distance over its d columns (above magnitude_limit(d)) is a DataError.
     The same scan makes a NaN entry a DataError."""
     with open(path, "rb") as fh:
         ds = _load_emb1(fh, path) if fh.read(4) == DATASET_MAGIC else None
@@ -386,7 +384,7 @@ def load_dataset(path) -> DataSet:
         # max and min, not abs: no temporary the size of the block; both
         # are NaN when any entry is, and NaN fails `top <= limit`
         top = max(block.max(), -block.min())
-        limit = np.sqrt(np.finfo(np.float64).max / (8 * block.shape[1]))
+        limit = magnitude_limit(block.shape[1])
         if not top <= limit:
             raise DataError(f"{path}: {name} block has " + (
                 "a NaN entry" if np.isnan(top) else

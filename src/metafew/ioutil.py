@@ -1,5 +1,6 @@
 """Small shared I/O helpers: text artifacts, config trailers on binary
-artifacts, float formatting, seeded generators, the worker-count setting."""
+artifacts, float formatting, seeded generators, the magnitude bound on
+loaded floats, the worker-count setting."""
 
 from __future__ import annotations
 
@@ -121,14 +122,26 @@ def stable_rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(e) for e in entropy]))
 
 
+def magnitude_limit(width: int) -> float:
+    """Largest magnitude a loaded float may have where `width` of them are
+    summed in a squared distance or a product: the sum is at most
+    4*width*M**2, and M <= sqrt(max_float / (8*width)) keeps that bound a
+    factor of two below overflow for rounding (about 4.7e153 at width 1)."""
+    return float(np.sqrt(np.finfo(np.float64).max / (8 * width)))
+
+
 def default_workers() -> int:
-    """METAFEW_WORKERS, or the core count when it is unset. metafew runs
-    serially; only the benchmark reads this, to record and scale by it."""
+    """How many processes `evaluate` splits a fitted learner's task set
+    across: METAFEW_WORKERS, at least 1 and at most the CPUs this process
+    may run on, or that CPU count when it is unset."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            return min(max(1, int(env)), cpus)
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV}={env!r} is not an integer") from None
-    return os.cpu_count() or 1
-
+    return cpus

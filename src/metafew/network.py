@@ -27,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, DataError, NumericError, ShapeError
-from .ioutil import naming, read_config_trailer, write_config_trailer
+from .ioutil import (magnitude_limit, naming, read_config_trailer,
+                     write_config_trailer)
 
 ACTIVATIONS = ("identity", "relu")
 _ACT_CODE = {"identity": 0, "relu": 1}
@@ -404,7 +405,10 @@ def save_checkpoint(params: ModelParams, path, config_text: str | None = None) -
 
 def load_checkpoint(path) -> ModelParams:
     """Read a save_checkpoint file. A config trailer, if present, must be
-    well formed; its text is not returned."""
+    well formed; its text is not returned.
+
+    A layer with a weight or bias above magnitude_limit(in_dim), whose
+    products over its inputs could overflow, is a DataError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -435,4 +439,11 @@ def load_checkpoint(path) -> ModelParams:
         read_config_trailer(blob, pos + 8 * size)
         params = ModelParams(vector, spec)
         params.validate()
+    for i, layer in enumerate(params.layers):
+        top = max(np.abs(layer.weights).max(), np.abs(layer.bias).max())
+        limit = magnitude_limit(layer.weights.shape[0])
+        if top > limit:
+            raise DataError(f"{path}: layer {i} has a parameter of magnitude "
+                            f"{top:.3g}; above {limit:.3g}, products over its "
+                            f"{layer.weights.shape[0]} inputs could overflow")
     return params

@@ -1,4 +1,19 @@
+import os
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Every process a test starts, forked evaluation parts included, is
+    reaped by the time the test ends."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test (waitpid gave pid {pid})")

@@ -1,10 +1,12 @@
 """Chunked evaluation: every learner gives the same per-task accuracies at
 any chunk budget, worker count and BLAS thread count, and the same as its
-2-d reference on task sets that mix shapes."""
+2-d reference on task sets that mix shapes. Evaluation split across forked
+processes raises what serial evaluation raises and leaves no process."""
 
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from metafew.baselines import (linear_fit, linear_predict, mlp_dropout_fit,
                                mlp_dropout_predict, train_from_scratch)
 from metafew.data import synth_mixture
 from metafew.errors import DataError
-from metafew.evaluation import evaluate, task_chunks
+from metafew.evaluation import evaluate, task_chunks, write_report_csv
 from metafew.ioutil import stable_rng
 from metafew.learners import LEARNER_IDS, make_learner
 from metafew.metalearn import (build_maml_model, build_protonet_model, maml_predict,
@@ -195,3 +197,107 @@ def test_reports_independent_of_blas_threads(tmp_path):
         assert run.returncode == 0, run.stderr
         digests.append(run.stdout.split())
     assert len(digests[0]) == 14 and digests[0] == digests[1]
+
+
+# -- evaluation split across forked processes ---------------------------------
+
+@pytest.fixture()
+def odd_tasks(mixed_tasks, monkeypatch):
+    """13 tasks in chunks of both shapes and several sizes."""
+    monkeypatch.setattr(evaluation, "CHUNK_ROWS", 24)
+    return mixed_tasks[:13]
+
+
+@pytest.mark.parametrize("learner_id", LEARNER_IDS)
+def test_reports_independent_of_workers(learner_id, learners, odd_tasks, tmp_path):
+    reports = []
+    for workers in (1, 2, 3):
+        path = tmp_path / f"{workers}.csv"
+        report = evaluate(learners[learner_id], odd_tasks, learner_id=learner_id,
+                          seed=3, workers=workers)
+        write_report_csv(report, path)
+        reports.append(path.read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def fail_on(task_seeds, exc_type=DataError):
+    """A learner that raises on the first chunk holding one of task_seeds,
+    naming that task."""
+    def predict(tasks, rngs):
+        for t in tasks:
+            if t.task_seed in task_seeds:
+                raise exc_type(f"cannot predict task {t.task_seed}")
+        return [t.query_labels_int() for t in tasks]
+    return predict
+
+
+def raised(predict, tasks, workers):
+    with pytest.raises(Exception) as info:
+        evaluate(predict, tasks, workers=workers)
+    return type(info.value), str(info.value)
+
+
+def test_first_failing_part_raises(odd_tasks):
+    # a failure in each half: the first half's, as at one worker, wins
+    predict = fail_on({odd_tasks[2].task_seed, odd_tasks[9].task_seed})
+    assert raised(predict, odd_tasks, 2) == raised(predict, odd_tasks, 1) == (
+        DataError, f"cannot predict task {odd_tasks[2].task_seed}")
+
+
+@pytest.mark.parametrize("exc_type", [DataError, FloatingPointError])
+def test_child_part_failure_raises_the_serial_exception(odd_tasks, exc_type):
+    predict = fail_on({odd_tasks[11].task_seed}, exc_type)
+    assert raised(predict, odd_tasks, 2) == raised(predict, odd_tasks, 1) == (
+        exc_type, f"cannot predict task {odd_tasks[11].task_seed}")
+
+
+def test_unpicklable_child_exception_is_raised_from_the_parent(odd_tasks):
+    class LocalError(Exception):  # not importable, so it cannot be pickled
+        pass
+
+    predict = fail_on({odd_tasks[11].task_seed}, LocalError)
+    assert raised(predict, odd_tasks, 3) == (
+        LocalError, f"cannot predict task {odd_tasks[11].task_seed}")
+
+
+def test_failed_fork_evaluates_every_part_in_process(learners, odd_tasks,
+                                                     monkeypatch):
+    want = evaluate(learners["mlp"], odd_tasks, seed=3).accuracies
+
+    def no_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = evaluate(learners["mlp"], odd_tasks, seed=3, workers=3).accuracies
+    assert got.tobytes() == want.tobytes()
+
+
+def test_child_that_dies_before_sending_is_replaced_by_the_parent(learners,
+                                                                 odd_tasks):
+    parent = os.getpid()
+    mlp = learners["mlp"]
+
+    def dies_in_a_child(tasks, rngs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return mlp(tasks, rngs)
+
+    want = evaluate(mlp, odd_tasks, seed=3).accuracies
+    got = evaluate(dies_in_a_child, odd_tasks, seed=3, workers=3).accuracies
+    assert got.tobytes() == want.tobytes()
+
+
+def test_parent_part_failure_kills_the_children(odd_tasks):
+    # the children would sleep for a minute; the autouse fixture checks
+    # that each was reaped
+    parent = os.getpid()
+
+    def predict(tasks, rngs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise DataError("parent part failed")
+
+    start = time.perf_counter()
+    with pytest.raises(DataError, match="parent part failed"):
+        evaluate(predict, odd_tasks, workers=3)
+    assert time.perf_counter() - start < 30

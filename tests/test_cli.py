@@ -1,6 +1,9 @@
 import hashlib
+import io
+import os
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -205,6 +208,34 @@ def test_evaluate_same_seed_identical_csv(tmp_path, dataset):
     rows_a = [l for l in a.read_text().splitlines() if not l.startswith("#")]
     rows_b = [l for l in b.read_text().splitlines() if not l.startswith("#")]
     assert rows_a == rows_b
+
+@pytest.mark.parametrize("learner", ["maml", "scratch", "linear", "mlp"])
+def test_evaluate_bytes_independent_of_metafew_workers(tmp_path, dataset, partitions,
+                                                       learner, capfd, monkeypatch):
+    # two usable CPUs whatever the host has, so METAFEW_WORKERS=2 forks; a
+    # block-buffered stdout holding unflushed text shows whether a child
+    # flushed the parent's stdio or returned into the caller
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    extra = {}
+    if learner == "maml":
+        extra["checkpoint"] = tmp_path / "model.ckpt"
+        assert main(meta_train_args(dataset, partitions, extra["checkpoint"])) == 0
+    out = tmp_path / "report.csv"
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("METAFEW_WORKERS", workers)
+        capfd.readouterr()
+        with (io.TextIOWrapper(open(os.dup(1), "wb")) as stdout,
+              monkeypatch.context() as patch):
+            patch.setattr(sys, "stdout", stdout)
+            stdout.write("pending\n")
+            assert main(eval_args(dataset, out, learner, tasks=13, seed=3,
+                                  **extra)) == 0
+        runs.append((out.read_bytes(), capfd.readouterr()))
+    assert runs[1] == runs[0]
+    assert runs[0][1].out.startswith("pending\n") and runs[0][1].out.count("\n") == 2
+    assert runs[0][1].err == ""
+
 
 def test_evaluate_meta_learner_and_cluster_match(tmp_path, dataset, partitions):
     ckpt = tmp_path / "model.ckpt"
@@ -559,23 +590,25 @@ def test_zero_layer_checkpoint_is_exit_3(tmp_path, dataset, partitions, command,
     assert err.startswith("data error:") and f"{zero}: checkpoint has no layers" in err
     assert "Traceback" not in err
 
-def test_evaluate_with_an_overflowing_checkpoint_is_exit_4(tmp_path, dataset,
-                                                          partitions, capsys):
+@pytest.mark.parametrize("command", ["evaluate", "meta-train resume"])
+def test_an_overflowing_checkpoint_is_exit_3(tmp_path, dataset, partitions, command,
+                                             capsys):
     # finite weights so large that the forward pass overflows; unguarded,
-    # this run printed a plausible mean accuracy of 0.5 and exited 0
+    # evaluate printed a plausible mean accuracy of 0.5 and exited 0, and
+    # resume accepted the checkpoint
     ckpt = tmp_path / "model.ckpt"
     assert main(meta_train_args(dataset, partitions, ckpt)) == 0
-    args = ["evaluate", f"data={dataset}", f"out={tmp_path / 'maml.csv'}",
-            "learner=maml", f"checkpoint={ckpt}", "tasks=10", "n_way=2",
-            "k_shot=1", "q_queries=2", "split=meta-train"]
+    args = (["evaluate", f"data={dataset}", f"out={tmp_path / 'maml.csv'}",
+             "learner=maml", f"checkpoint={ckpt}", "tasks=10", "n_way=2",
+             "k_shot=1", "q_queries=2", "split=meta-train"]
+            if command == "evaluate"
+            else meta_train_args(dataset, partitions, ckpt, resume="true"))
     assert main(args) == 0
     params = load_checkpoint(ckpt)
     params.vector *= 1e155
     save_checkpoint(params, ckpt)
-    capsys.readouterr()
-    assert main(args) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure:") and "Traceback" not in err
+    err = assert_data_error(capsys, args)
+    assert f"{ckpt}: layer 0 has a parameter of magnitude" in err
 
 def test_evaluate_on_a_split_without_rows_is_exit_3(tmp_path, capsys):
     # split_mode=none tags every row meta-train; evaluate defaults to meta-test
@@ -663,9 +696,21 @@ def test_cluster_match_on_pixel_partition_is_exit_3(tmp_path, d_in, capsys):
     assert err.startswith("data error:") and "source_space=raw" in err
 
 def test_default_workers_reads_metafew_workers(monkeypatch):
+    # the count of usable CPUs, not of the host's, bounds the worker count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.delenv("METAFEW_WORKERS", raising=False)
+    assert default_workers() == 3
     monkeypatch.setenv("METAFEW_WORKERS", "abc")
     with pytest.raises(ConfigError, match="METAFEW_WORKERS"):
         default_workers()
-    for text, want in (("3", 3), ("1", 1), ("0", 1), ("-2", 1)):
+    for text, want in (("3", 3), ("2", 2), ("1", 1), ("0", 1), ("-2", 1)):
         monkeypatch.setenv("METAFEW_WORKERS", text)
         assert default_workers() == want
+    monkeypatch.setenv("METAFEW_WORKERS", "3")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    assert default_workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert default_workers() == 2

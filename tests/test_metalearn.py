@@ -10,8 +10,8 @@ from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_mode
                                protonet_classify, protonet_loss_grad,
                                protonet_predict, protonet_prototypes, prune_head)
 from metafew.network import (Layer, apply_adam, forward, grad_through_adaptation,
-                             init_adam, init_mlp, xent_loss_grad)
-from metafew.partition import generate_partitions, partition_from_labels
+                             init_adam, xent_loss_grad)
+from metafew.partition import generate_partitions
 from metafew.tasks import (Task, TaskStreamConfig, make_supervised_task_stream,
                            make_task_stream, stack_tasks)
 

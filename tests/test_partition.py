@@ -17,7 +17,7 @@ from helpers import (brute_force_two_means, reference_assign, reference_centroid
 from metafew.data import DataSet, synth_mixture
 from metafew.errors import ConfigError, DataError, InfeasibleError, ShapeError
 from metafew.ioutil import stable_rng
-from metafew.partition import (Hyperplane, Partition, _lift, generate_hyperplane_partitions,
+from metafew.partition import (Hyperplane, _lift, generate_hyperplane_partitions,
                                generate_partitions, hyperplane_partition, kmeans,
                                load_partition, partition_by_hyperplanes,
                                partition_from_labels, pixel_partition,

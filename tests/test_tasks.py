@@ -6,12 +6,12 @@ import pytest
 from helpers import (reference_clusters, reference_task_from_partition,
                      sample_supervised_task)
 from metafew.data import DataSet, synth_mixture
-from metafew.errors import (ConfigError, DataError, InfeasibleError, TaskRejected)
+from metafew.errors import ConfigError, InfeasibleError, TaskRejected
 from metafew.partition import (Partition, generate_hyperplane_partitions,
                                generate_partitions, partition_from_labels,
                                random_partition)
 from metafew.tasks import (Task, TaskStreamConfig, eligible_clusters,
-                           make_supervised_task_stream, make_task_stream,
+                           make_task_stream,
                            read_task_manifest, sample_attribute_task,
                            sample_eligible_attribute_task,
                            sample_task_from_partition, validate_task,
