@@ -6,9 +6,8 @@ Run from the repository root:  python demos/02_partitioning.py
 
 import numpy as np
 
-from metafew import (Hyperplane, generate_hyperplane_partitions,
-                     generate_partitions, kmeans, partition_from_labels,
-                     pixel_partition, random_partition, signed_distance,
+from metafew import (Hyperplane, generate_partitions, kmeans,
+                     partition_from_labels, random_partition, signed_distance,
                      synth_mixture)
 
 ds = synth_mixture(num_classes=10, per_class=50, d_in=12, d_z=5,
@@ -50,15 +49,16 @@ print("=" * 60)
 h = Hyperplane(normal=np.array([3.0, 4.0]), point=np.zeros(2))
 print(f"signed distance of (3, 4) to the plane: {signed_distance(h, np.array([3.0, 4.0])):.1f}")
 for margin in (0.0, 0.2, 0.4):
-    hp = generate_hyperplane_partitions(ds, P=1, n_way=4, margin=margin,
-                                        r_min=6, seed=11)[0]
+    hp = generate_partitions(ds, P=1, seed=11, method="hyperplane", n_way=4,
+                             margin=margin, r_min=6)[0]
     kept = (hp.assignment >= 0).sum()
     print(f"margin {margin:.1f}: {hp.num_clusters} subsets survive, "
           f"{kept}/{ds.n} points kept")
 
 from metafew import InfeasibleError
 try:
-    generate_hyperplane_partitions(ds, P=1, n_way=4, margin=2.5, r_min=6, seed=11)
+    generate_partitions(ds, P=1, seed=11, method="hyperplane", n_way=4,
+                        margin=2.5, r_min=6)
 except InfeasibleError as exc:
     print(f"margin 2.5 is rejected after the retry cap: {exc}")
 
@@ -68,7 +68,7 @@ print("4. degenerate and oracle partitions")
 print("=" * 60)
 rand = random_partition(ds.n, 10, np.random.default_rng(13))
 print(f"random assignment purity:     {alignment(rand):.2f}  (no structure)")
-pix = pixel_partition(ds, 10, seed=17)
+pix = generate_partitions(ds, P=1, k=10, seed=17, method="pixel")[0]
 print(f"raw-space k-means purity:     {alignment(pix):.2f}")
 sup = partition_from_labels(ds)
 print(f"label-derived (oracle) purity: {alignment(sup):.2f}")

@@ -13,9 +13,8 @@ from .learners import make_learner
 from .metalearn import (MetaConfig, build_maml_model, build_protonet_model,
                         maml_predict, meta_train, protonet_predict)
 from .network import grad_through_adaptation
-from .partition import (Hyperplane, generate_hyperplane_partitions,
-                        generate_partitions, kmeans, partition_from_labels,
-                        pixel_partition, random_partition, signed_distance)
+from .partition import (Hyperplane, generate_partitions, kmeans,
+                        partition_from_labels, random_partition, signed_distance)
 from .tasks import (TaskStreamConfig, make_supervised_task_stream,
                     make_task_stream, sample_eligible_attribute_task,
                     sample_task_from_partition, validate_task,

@@ -28,9 +28,7 @@ from .ioutil import (body_lines, default_workers, fmt_float, naming, read_text,
 from .learners import LEARNER_IDS, make_learner
 from .metalearn import MetaConfig, initial_model, meta_train
 from .network import load_checkpoint, save_checkpoint
-from .partition import (_lift, generate_hyperplane_partitions,
-                        generate_partitions, load_partition, pixel_partition,
-                        random_partition, save_partition)
+from .partition import generate_partitions, load_partition, save_partition
 from .tasks import (TaskStreamConfig, make_supervised_task_stream,
                     make_task_stream, read_task_manifest,
                     sample_eligible_attribute_task, write_task_manifest)
@@ -273,38 +271,12 @@ def cmd_synth(cfg: dict, echo: str) -> int:
     return 0
 
 
-def _partition_paths(prefix: str, count: int) -> list[str]:
-    return [f"{prefix}_{i:03d}.part" for i in range(count)]
-
-
 def cmd_partition(cfg: dict, echo: str) -> int:
     ds = load_dataset(_require_file(cfg["data"], "dataset"))
-    method, p_count, split = cfg["method"], cfg["P"], cfg["split"]
-    if method in ("kmeans", "pixel", "random") and cfg["k"] < 1:
-        raise ConfigError(f"method={method} requires k >= 1")
-    if method == "kmeans":
-        parts = generate_partitions(ds, p_count, cfg["k"], cfg["seed"], split=split,
-                                    max_iter=cfg["max_iter"], tol=cfg["tol"])
-    elif method == "pixel":
-        parts = [pixel_partition(ds, cfg["k"], seed=stable_rng(cfg["seed"], i),
-                                 split=split, max_iter=cfg["max_iter"], tol=cfg["tol"])
-                 for i in range(p_count)]
-        for part in parts:
-            part.seed = cfg["seed"]
-    elif method == "random":
-        rows = ds.split_indices(split)
-        parts = []
-        for i in range(p_count):
-            part = random_partition(rows.size, cfg["k"], stable_rng(cfg["seed"], i))
-            part.seed = cfg["seed"]
-            parts.append(_lift(part, rows, ds.n))
-    elif method == "hyperplane":
-        parts = generate_hyperplane_partitions(
-            ds, p_count, cfg["n_way"], cfg["margin"], cfg["r_min"], cfg["seed"],
-            split=split, pool_size=cfg["pool_size"], retry_cap=cfg["retry_cap"])
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-    paths = _partition_paths(cfg["out_prefix"], len(parts))
+    parts = generate_partitions(ds, cfg["P"], **{key: cfg[key] for key in (
+        "k", "seed", "split", "method", "n_way", "margin", "r_min", "pool_size",
+        "retry_cap", "max_iter", "tol")})
+    paths = [f"{cfg['out_prefix']}_{i:03d}.part" for i in range(len(parts))]
     for part, path in zip(parts, paths):
         save_partition(part, path)
     manifest = cfg["out_prefix"] + "_manifest.txt"

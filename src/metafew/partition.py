@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import DataSet
 from .errors import ConfigError, DataError, InfeasibleError, NumericError, ShapeError
-from .ioutil import (body_text, fmt_float, header_lines, naming, parse_field,
-                     read_text, stable_rng, write_text)
+from .ioutil import (body_text, fmt_float, header_lines, magnitude_limit, naming,
+                     parse_field, read_text, stable_rng, write_text)
 
 PROVENANCES = ("kmeans", "hyperplane", "random", "supervised")
 
@@ -128,9 +128,16 @@ def _as_points(points: np.ndarray) -> np.ndarray:
 
 
 def _check_points(points: np.ndarray) -> np.ndarray:
+    """2-d float points, finite and at most magnitude_limit(d), the bound
+    load_dataset applies, so that no squared distance overflows."""
     points = _as_points(points)
-    if not np.isfinite(points).all():
+    # max and min, not abs: no temporary the size of the block
+    top = max(points.max(), -points.min()) if points.size else 0.0
+    if not np.isfinite(top):
         raise DataError("points contain non-finite values")
+    if points.size and top > (limit := magnitude_limit(points.shape[1])):
+        raise DataError(f"points have an entry of magnitude {top:.3g}; above "
+                        f"{limit:.3g}, squared distances could overflow")
     return points
 
 
@@ -311,42 +318,59 @@ def _plusplus_init(y, k, rng):
     return np.array(chosen)
 
 
-def generate_partitions(ds: DataSet, P: int, k: int, seed: int,
-                        split: str = "meta-train",
-                        **kmeans_kwargs) -> list[Partition]:
-    """P independent k-means partitions of the split's embeddings, each under
-    a fresh random diagonal metric with entries drawn i.i.d. uniform on (0, 1].
+def generate_partitions(ds: DataSet, P: int, k: int = 0, seed: int = 0,
+                        split: str = "meta-train", method: str = "kmeans",
+                        n_way: int = 5, margin: float = 0.0, r_min: int = 6,
+                        pool_size: int = HYPERPLANE_POOL_SIZE,
+                        retry_cap: int = HYPERPLANE_RETRY_CAP,
+                        max_iter: int = KMEANS_MAX_ITER,
+                        tol: float = KMEANS_TOL) -> list[Partition]:
+    """P partitions of the split's rows by `method`, partition p drawn from
+    stable_rng(seed, p) and indexed by dataset row (other rows discarded).
+    kmeans clusters the embeddings under a fresh random diagonal metric with
+    entries i.i.d. uniform on (0, 1]; pixel clusters the raw vectors; random
+    assigns uniformly to k clusters; hyperplane slices by H-combinations of
+    one pool drawn from stable_rng(seed, 0xB00) (see hyperplane_partition).
     Partitions are built one after another; BLAS threads each Lloyd step."""
-    if ds.embeddings is None:
-        raise DataError("generate_partitions requires embeddings")
+    if P < 1:
+        raise ConfigError(f"P must be >= 1, got {P}")
+    if method not in ("kmeans", "pixel", "random", "hyperplane"):
+        raise ConfigError(f"unknown method {method!r}")
+    if method != "hyperplane" and k < 1:
+        raise ConfigError(f"method={method} requires k >= 1")
+    if method in ("kmeans", "hyperplane") and ds.embeddings is None:
+        raise DataError(f"method={method} requires embeddings")
     rows = ds.split_indices(split)
-    points = ds.embeddings[rows]
+    if rows.size == 0:
+        raise DataError(f"split {split!r} has no rows")
+    points = None if method == "random" else (
+        ds.raw if method == "pixel" else ds.embeddings)[rows]
+    if method == "hyperplane":
+        pool = sample_hyperplanes(points, pool_size, stable_rng(seed, 0xB00))
 
     def build(p: int) -> Partition:
         rng = stable_rng(seed, p)
-        diag = 1.0 - rng.random(points.shape[1])  # uniform on (0, 1]
-        part = kmeans(points, k, scaling=diag, seed=rng, **kmeans_kwargs)
-        part.seed = seed
-        return _lift(part, rows, ds.n)
+        if method in ("kmeans", "pixel"):  # pixel: all-ones metric
+            diag = 1.0 - rng.random(points.shape[1]) if method == "kmeans" else None
+            part = kmeans(points, k, scaling=diag, seed=rng, max_iter=max_iter, tol=tol)
+        elif method == "random":
+            part = random_partition(rows.size, k, rng)
+        else:
+            part = hyperplane_partition(points, n_way, margin, r_min, rng, pool=pool,
+                                        retry_cap=retry_cap)
+        return _lift(part, rows, ds.n, seed=seed,
+                     source_space="raw" if method == "pixel" else "embedding")
 
     return [build(p) for p in range(P)]
 
 
-def pixel_partition(ds: DataSet, k: int, seed: int,
-                    split: str = "meta-train", **kmeans_kwargs) -> Partition:
-    """k-means over raw vectors (all-ones scaling)."""
-    rows = ds.split_indices(split)
-    part = kmeans(ds.raw[rows], k, seed=seed, **kmeans_kwargs)
-    part.source_space = "raw"
-    return _lift(part, rows, ds.n)
-
-
-def _lift(part: Partition, rows: np.ndarray, n: int) -> Partition:
+def _lift(part: Partition, rows: np.ndarray, n: int, **fields) -> Partition:
     """A partition built on a row subset, re-indexed into full-dataset
-    indices; the rows outside the subset are discarded."""
+    indices; the rows outside the subset are discarded. Keyword fields
+    replace the partition's own."""
     assignment = np.full(n, -1, dtype=np.int64)
     assignment[rows] = part.assignment
-    return replace(part, assignment=assignment)
+    return replace(part, assignment=assignment, **fields)
 
 
 # -- random-hyperplane slicing ---------------------------------------------------
@@ -439,28 +463,6 @@ def hyperplane_partition(points: np.ndarray, n_way: int, margin: float, r_min: i
         f"need {n_way} subsets of >= {r_min}")
 
 
-def generate_hyperplane_partitions(ds: DataSet, P: int, n_way: int, margin: float,
-                                   r_min: int, seed: int, split: str = "meta-train",
-                                   pool_size: int = HYPERPLANE_POOL_SIZE,
-                                   retry_cap: int = HYPERPLANE_RETRY_CAP) -> list[Partition]:
-    """P hyperplane partitions drawn as H-combinations from one pre-computed
-    pool of hyperplanes."""
-    if ds.embeddings is None:
-        raise DataError("hyperplane partitions require embeddings")
-    rows = ds.split_indices(split)
-    points = ds.embeddings[rows]
-    pool = sample_hyperplanes(points, pool_size, stable_rng(seed, 0xB00))
-
-    def build(p: int) -> Partition:
-        part = hyperplane_partition(points, n_way, margin, r_min,
-                                    stable_rng(seed, p), pool=pool,
-                                    retry_cap=retry_cap)
-        part.seed = seed
-        return _lift(part, rows, ds.n)
-
-    return [build(p) for p in range(P)]
-
-
 # -- random and label partitions ---------------------------------------------------
 
 def random_partition(n: int, k: int, rng: np.random.Generator) -> Partition:
@@ -481,9 +483,8 @@ def partition_from_labels(ds: DataSet, split: str | None = None) -> Partition:
         raise DataError(f"{'the dataset' if split is None else f'split {split!r}'} "
                         f"has no labeled rows")
     values, ids = np.unique(ds.labels[rows], return_inverse=True)
-    assignment = np.full(ds.n, -1, dtype=np.int64)
-    assignment[rows] = ids
-    part = Partition(assignment=assignment, provenance="supervised", k=len(values))
+    part = _lift(Partition(assignment=ids, provenance="supervised", k=len(values)),
+                 rows, ds.n)
     if ds.embeddings is not None:
         part.centroids = _cluster_means(ds.embeddings, part)
     return part

@@ -26,9 +26,8 @@ from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_mode
                                protonet_loss_grad, protonet_prototypes)
 from metafew.network import (apply_sgd, forward, grad_through_adaptation,
                              init_mlp, xent_loss_grad)
-from metafew.partition import (_lift, generate_hyperplane_partitions,
-                               generate_partitions, kmeans, partition_from_labels,
-                               random_partition)
+from metafew.partition import (_lift, generate_partitions, kmeans,
+                               partition_from_labels, random_partition)
 from metafew.tasks import (Task, TaskStreamConfig, make_supervised_task_stream,
                            make_task_stream, validate_task)
 
@@ -146,8 +145,8 @@ def test_criterion_3_episode_validity():
         start = time.time()
         ds = synth_mixture(12, 40, 6, 4, noise=0.4, seed=31000)
         km = generate_partitions(ds, 4, 12, seed=31001)
-        hyp = generate_hyperplane_partitions(ds, 4, n_way=4, margin=0.05, r_min=5,
-                                             seed=31002, pool_size=128)
+        hyp = generate_partitions(ds, 4, seed=31002, method="hyperplane", n_way=4,
+                                  margin=0.05, r_min=5, pool_size=128)
         rows = ds.split_indices("meta-train")
         rnd = [_lift(random_partition(rows.size, 12, np.random.default_rng(31003 + i)),
                      rows, ds.n) for i in range(4)]

@@ -15,7 +15,7 @@ from metafew.evaluation import read_report_csv
 from metafew.ioutil import default_workers, stable_rng
 from metafew.metalearn import MetaConfig, initial_model, maml_predict, protonet_predict
 from metafew.network import load_checkpoint, save_checkpoint
-from metafew.partition import load_partition, pixel_partition
+from metafew.partition import kmeans, load_partition
 from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
                            read_task_manifest)
 
@@ -95,16 +95,19 @@ def test_partition_writes_files_and_reruns_identically(tmp_path, dataset):
     assert before == after
 
 def test_pixel_partitions_differ_and_each_reproduces(tmp_path, dataset):
-    # partition i is k-means on raw inputs seeded with stable_rng(seed, i)
+    # partition i is k-means on the split's raw inputs seeded with
+    # stable_rng(seed, i); the other splits' rows are discarded
     assert main(["partition", f"data={dataset}", f"out_prefix={tmp_path / 'px'}",
                  "method=pixel", "P=2", "k=6", "seed=9"]) == 0
     parts = [load_partition(tmp_path / f"px_00{i}.part") for i in range(2)]
     assert not np.array_equal(parts[0].assignment, parts[1].assignment)
     ds = load_dataset(dataset)
+    rows = ds.split_indices("meta-train")
     for i, part in enumerate(parts):
         assert part.seed == 9 and part.source_space == "raw"
-        again = pixel_partition(ds, 6, seed=stable_rng(9, i))
-        assert np.array_equal(part.assignment, again.assignment)
+        again = kmeans(ds.raw[rows], 6, seed=stable_rng(9, i))
+        assert np.array_equal(part.assignment[rows], again.assignment)
+        assert (np.delete(part.assignment, rows) == -1).all()
 
 def test_partition_random_ignores_embeddings(tmp_path):
     raw_only = tmp_path / "raw.csv"
@@ -114,6 +117,34 @@ def test_partition_random_ignores_embeddings(tmp_path):
     assert main(["partition", f"data={raw_only}", f"out_prefix={prefix}",
                  "method=random", "k=3", "seed=1"]) == 0
     assert (tmp_path / "rp_000.part").exists()
+
+PARTITION_METHODS = {"kmeans": ["k=3"], "pixel": ["k=3"], "random": ["k=3"],
+                     "hyperplane": ["n_way=2", "r_min=1"]}
+
+@pytest.mark.parametrize("method", sorted(PARTITION_METHODS))
+def test_partition_of_a_split_without_rows_is_exit_3(tmp_path, dataset, method,
+                                                      capsys):
+    # the dataset has no meta-val rows; hyperplane once raised a ValueError
+    # and random wrote a partition that discards every row
+    capsys.readouterr()
+    assert main(["partition", f"data={dataset}", f"out_prefix={tmp_path / 'e'}",
+                 f"method={method}", "split=meta-val",
+                 *PARTITION_METHODS[method]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "split 'meta-val' has no rows" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("e_*"))
+
+@pytest.mark.parametrize("method, P", [("hyperplane", 0), ("kmeans", -1),
+                                       ("pixel", 0), ("random", -1)])
+def test_partition_count_below_one_is_exit_2(tmp_path, dataset, method, P, capsys):
+    # it once wrote an empty manifest that gen-tasks then rejected
+    capsys.readouterr()
+    assert main(["partition", f"data={dataset}", f"out_prefix={tmp_path / 'e'}",
+                 f"method={method}", f"P={P}", *PARTITION_METHODS[method]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"P must be >= 1, got {P}" in err
+    assert not list(tmp_path.glob("e_*"))
 
 def test_gen_tasks_manifest(tmp_path, dataset):
     prefix = tmp_path / "parts"

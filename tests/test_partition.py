@@ -17,10 +17,9 @@ from helpers import (brute_force_two_means, reference_assign, reference_centroid
 from metafew.data import DataSet, synth_mixture
 from metafew.errors import ConfigError, DataError, InfeasibleError, ShapeError
 from metafew.ioutil import stable_rng
-from metafew.partition import (Hyperplane, _lift, generate_hyperplane_partitions,
-                               generate_partitions, hyperplane_partition, kmeans,
-                               load_partition, partition_by_hyperplanes,
-                               partition_from_labels, pixel_partition,
+from metafew.partition import (Hyperplane, _lift, generate_partitions,
+                               hyperplane_partition, kmeans, load_partition,
+                               partition_by_hyperplanes, partition_from_labels,
                                random_partition, sample_hyperplanes, save_partition,
                                signed_distance)
 
@@ -50,6 +49,16 @@ def test_two_cluster_line_instance():
     best, fixed = brute_force_two_means(pts)
     assert best == pytest.approx(1.0)
     assert any(abs(part.objective - f) < 1e-9 for f in fixed)
+
+def test_kmeans_rejects_points_too_large_for_distances_or_non_finite():
+    # 200 distinct points: the message once blamed too few distinct points
+    pts = np.random.default_rng(5).standard_normal((200, 3))
+    kmeans(pts * 1e150, 5, seed=0).validate()
+    with pytest.raises(DataError, match=r"entry of magnitude \d\.\d+e\+155; above"):
+        kmeans(pts * 1e155, 5, seed=0)
+    pts[17, 1] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        kmeans(pts, 5, seed=0)
 
 def test_objective_trace_nonincreasing():
     rng = np.random.default_rng(3)
@@ -357,8 +366,8 @@ def test_hyperplane_slicing_rejects_non_finite_points(bad):
 
 def test_pool_based_generation():
     ds = synth_mixture(5, 30, 4, 3, noise=0.3, seed=48)
-    parts = generate_hyperplane_partitions(ds, 4, n_way=4, margin=0.05, r_min=3,
-                                           seed=49, pool_size=64)
+    parts = generate_partitions(ds, 4, seed=49, method="hyperplane", n_way=4,
+                                margin=0.05, r_min=3, pool_size=64)
     assert len(parts) == 4
     for p in parts:
         p.validate()
@@ -385,8 +394,7 @@ def test_random_partition_sizes_roughly_uniform():
 
 def test_pixel_partition_clusters_raw_space():
     ds = synth_mixture(4, 25, 6, 2, noise=0.05, seed=52)
-    part = pixel_partition(ds, 4, seed=53, plusplus=True)
-    assert part.source_space == "raw"
+    part = kmeans(ds.raw, 4, seed=53, plusplus=True)
     part.validate()
     # informative raw features recover components
     from scipy.optimize import linear_sum_assignment
@@ -403,7 +411,7 @@ def test_pixel_partition_on_noise_raw_is_chance():
     ds = synth_mixture(4, 50, 6, 2, noise=0.05, seed=55)
     shuffled = DataSet(rng.standard_normal(ds.raw.shape), ds.embeddings,
                        ds.labels, None, ds.split)
-    part = pixel_partition(shuffled, 4, seed=56)
+    part = kmeans(shuffled.raw, 4, seed=56)
     confusion = np.zeros((4, 4))
     for c, members in enumerate(part.clusters):
         for m in members:

@@ -7,8 +7,7 @@ from helpers import (reference_clusters, reference_task_from_partition,
                      sample_supervised_task)
 from metafew.data import DataSet, synth_mixture
 from metafew.errors import ConfigError, InfeasibleError, TaskRejected
-from metafew.partition import (Partition, generate_hyperplane_partitions,
-                               generate_partitions, partition_from_labels,
+from metafew.partition import (Partition, generate_partitions, partition_from_labels,
                                random_partition)
 from metafew.tasks import (Task, TaskStreamConfig, eligible_clusters,
                            make_task_stream,
@@ -126,8 +125,8 @@ def test_infeasible_partitions_warn_and_all_excluded_errors(ds, partitions):
         make_task_stream(big, partitions, ds)
 
 def test_hyperplane_streams_hold_partition_for_blocks(ds):
-    parts = generate_hyperplane_partitions(ds, 6, n_way=3, margin=0.0, r_min=3,
-                                           seed=84, pool_size=32)
+    parts = generate_partitions(ds, 6, seed=84, method="hyperplane", n_way=3,
+                                margin=0.0, r_min=3, pool_size=32)
     cfg = TaskStreamConfig(tasks=250, n_way=3, k_shot=1, q_queries=2, seed=85)
     tasks = list(make_task_stream(cfg, parts, ds))
     first_block = {t.partition_index for t in tasks[:100]}
@@ -201,8 +200,8 @@ def test_eligible_attribute_resampling():
 def test_every_stream_task_validates_across_provenances(ds, partitions):
     rng = np.random.default_rng(98)
     rnd = [random_partition(ds.n, 10, rng) for _ in range(2)]
-    hyp = generate_hyperplane_partitions(ds, 2, n_way=3, margin=0.05, r_min=4,
-                                         seed=99, pool_size=32)
+    hyp = generate_partitions(ds, 2, seed=99, method="hyperplane", n_way=3,
+                              margin=0.05, r_min=4, pool_size=32)
     sup = [partition_from_labels(ds)]
     for parts in (partitions, rnd, hyp, sup):
         cfg = TaskStreamConfig(tasks=40, n_way=3, k_shot=1, q_queries=3, seed=100)

@@ -1,11 +1,13 @@
 """The text artifacts: each writer's exact bytes, and the same bytes under
 an ASCII locale."""
 
+import hashlib
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from metafew import cli
 from metafew.cli import main
@@ -263,3 +265,83 @@ def test_compare_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
     assert b"# out=\xc3\xa9/t.csv\n" in written["utf8=1"]
     assert b"knn\xc3\xa9," in written["utf8=1"]
     assert "knn\u00e9" in printed["utf8=1"] and "knn\\xe9" in printed["utf8=0"]
+
+
+# the `partition` runs whose files are pinned below, all on one synth dataset
+# split 60/20/20 into meta-train, meta-val and meta-test
+PARTITION_RUNS = {
+    "kmeans": ["method=kmeans", "P=2", "k=4", "seed=9"],
+    "kmeans_meta_test": ["method=kmeans", "P=2", "k=3", "seed=4", "split=meta-test",
+                         "max_iter=5"],
+    "pixel": ["method=pixel", "P=2", "k=4", "seed=9"],
+    "random": ["method=random", "P=2", "k=5", "seed=3"],
+    "random_meta_val": ["method=random", "P=1", "k=3", "seed=3", "split=meta-val"],
+    "hyperplane": ["method=hyperplane", "P=2", "n_way=3", "r_min=3", "margin=0.05",
+                   "pool_size=16", "seed=7"],
+}
+
+# sha256 of every file each run writes, by file name
+PARTITION_DIGESTS = {
+    'hyperplane': {
+        'hyperplane_000.part':
+            'a6825907a8b6c9457e0037585513620dc0063553cba33a7e2af6146213f3b6f2',
+        'hyperplane_001.part':
+            '781ac77ecdb4c4ce44667195dfc8afbc41f006cbae7aa116dcb165d1e21f76df',
+        'hyperplane_manifest.txt':
+            '43f2deab1d6dba2b1a4dcec635d0ff45d7244a8fd52148ee867b150391d451e5',
+    },
+    'kmeans': {
+        'kmeans_000.part':
+            '291a675a249bfaa7c7e37e2fea5eb18a365aa01df0a69cd0650467a396ad6f1f',
+        'kmeans_001.part':
+            'a9a719592623268e429cd6c08b2db603ae4fc04c3efdbad5591d320ecb36a5d1',
+        'kmeans_manifest.txt':
+            '90f8b7241e5276953bf0610ad20e3970808d695c4cd65f68b4b063d6530cb771',
+    },
+    'kmeans_meta_test': {
+        'kmeans_meta_test_000.part':
+            '9993aae06cac439154018580f90ca4c41538b3ac649e88f29a02eaa11abcff25',
+        'kmeans_meta_test_001.part':
+            '3e52d71bff7135b7bd38722691fa3c94b308616b4a986f9f4d99d6491223a4b4',
+        'kmeans_meta_test_manifest.txt':
+            'b53056e71881127f3090fc974386a3210109f83df7b12596f621563662d0eceb',
+    },
+    'pixel': {
+        'pixel_000.part':
+            '13f03c81acd0ce03833599cfdd65f03fa3abe92de4a9a0e14b0572406c75b4c9',
+        'pixel_001.part':
+            '8cd0b6e3fe5955cc785a08fc37d59beef7ecf7fa57958c732d3784f3d378149f',
+        'pixel_manifest.txt':
+            'a4f636a510566493c43857916f894cbb9b73d6966e3412c827848da269da9d36',
+    },
+    'random': {
+        'random_000.part':
+            'ca2d35cccf88c81bb59f6e6c87dfc44f471efab0a98449ac6745f17d799cd5a7',
+        'random_001.part':
+            '94c3f40d6eacb3427bab8803ffecf0ba1ddab1b6a277c899e75f0489ffc91d58',
+        'random_manifest.txt':
+            '17f6a8100e179f2a75337ad670ed74c44c11812dc01065374d5f1be3f1aad969',
+    },
+    'random_meta_val': {
+        'random_meta_val_000.part':
+            '99e73002156d421da0bae75dba8a1de60c58b6748d24d8189bd77e7ec66c46e7',
+        'random_meta_val_manifest.txt':
+            '42bc83f43f1313dd20e9e3627076f6b1146ece60e5a9ae6dd3039ccd33733d06',
+    },
+}
+
+
+def partition_digests(tmp_path, monkeypatch, run: str) -> dict[str, str]:
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "out=ds.emb1", "classes=5", "per_class=20", "d_in=4",
+                 "d_z=3", "noise=0.3", "seed=5", "split_mode=by_fraction",
+                 "train_frac=0.6", "val_frac=0.2", "test_frac=0.2"]) == 0
+    assert main(["partition", "data=ds.emb1", f"out_prefix={run}",
+                 *PARTITION_RUNS[run]]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.glob(f"{run}_*"))}
+
+
+@pytest.mark.parametrize("run", sorted(PARTITION_RUNS))
+def test_partition_command_keeps_its_bytes(tmp_path, monkeypatch, run):
+    assert partition_digests(tmp_path, monkeypatch, run) == PARTITION_DIGESTS[run]
