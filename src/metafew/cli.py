@@ -3,7 +3,8 @@ evaluate | compare.
 
 Each subcommand takes an optional key=value config file followed by
 key=value overrides (overrides win). Every output artifact embeds the
-effective config and tool version. Exit codes: 0 success, 2 config error,
+effective config and tool version, except the `.part` files of `partition`:
+their manifest carries it. Exit codes: 0 success, 2 config error,
 3 data error, 4 numeric failure (including floating-point overflow,
 invalid values and division by zero).
 """
@@ -29,7 +30,7 @@ from .learners import LEARNER_IDS, make_learner
 from .metalearn import MetaConfig, initial_model, meta_train
 from .network import load_checkpoint, save_checkpoint
 from .partition import generate_partitions, load_partition, save_partition
-from .tasks import (TaskStreamConfig, make_supervised_task_stream,
+from .tasks import (INPUT_REPRS, TaskStreamConfig, make_supervised_task_stream,
                     make_task_stream, read_task_manifest,
                     sample_eligible_attribute_task, write_task_manifest)
 
@@ -322,8 +323,12 @@ def cmd_gen_tasks(cfg: dict, echo: str) -> int:
     if cfg["source"] == "attributes":
         if cfg["n_way"] != 2:
             raise ConfigError("attribute tasks are binary; set n_way=2")
-        pool = ([int(v) for v in cfg["attr_pool"].split(",") if v.strip()]
-                or None)
+        try:
+            pool = ([int(v) for v in cfg["attr_pool"].split(",") if v.strip()]
+                    or None)
+        except ValueError:
+            raise ConfigError(f"bad attr_pool {cfg['attr_pool']!r}: expected "
+                              f"comma-separated attribute indices") from None
         tasks = []
         for t in range(cfg["tasks"]):
             rng = stable_rng(cfg["seed"], t)
@@ -405,12 +410,18 @@ def cmd_evaluate(cfg: dict, echo: str) -> int:
         manifest = _require_file(cfg["tasks_manifest"], "task manifest")
         tasks = read_task_manifest(manifest, ds)
         split_code(cfg["split"])  # an unknown split is a config error
-        stray = [t.split for t in tasks if t.split != cfg["split"]]
-        if stray:
-            held = ("a task with an empty split field" if stray[0] is None
-                    else f"tasks of split {stray[0]!r}")
-            raise DataError(f"{manifest}: holds {held}, but evaluate runs on "
-                            f"split {cfg['split']!r}")
+        if cfg["input_repr"] not in INPUT_REPRS:
+            raise ConfigError(f"unknown input_repr {cfg['input_repr']!r}")
+        for key in ("split", "input_repr"):
+            stray = next((i for i, t in enumerate(tasks)
+                          if getattr(t, key) != cfg[key]), None)
+            if stray is not None:
+                lineno = list(body_lines(read_text(manifest)))[stray][0]
+                value = getattr(tasks[stray], key)
+                held = (f"an empty {key} field" if value is None
+                        else f"{key} {value!r}")
+                raise DataError(f"{manifest}:{lineno}: task has {held}, but "
+                                f"evaluate runs on {key} {cfg[key]!r}")
     else:
         stream_cfg = TaskStreamConfig(
             tasks=cfg["tasks"], n_way=cfg["n_way"], k_shot=cfg["k_shot"],

@@ -184,8 +184,8 @@ def pca_whiten(ds: DataSet, d_out: int,
     """
     if ds.embeddings is None:
         raise DataError("pca_whiten requires embeddings")
-    if d_out > ds.d_z:
-        raise ConfigError(f"d_out {d_out} > embedding width {ds.d_z}")
+    if not 1 <= d_out <= ds.d_z:
+        raise ConfigError(f"d_out {d_out} outside 1..{ds.d_z}, the embedding width")
     rows = np.arange(ds.n) if stats_split is None else ds.split_indices(stats_split)
     if rows.size <= d_out:
         raise ConfigError(f"need more than d_out={d_out} rows for statistics, have {rows.size}")
@@ -221,6 +221,10 @@ def synth_mixture(num_classes: int, per_class: int, d_in: int, d_z: int,
         raise ConfigError("all counts must be positive")
     if noise < 0 or (emb_noise is not None and emb_noise < 0):
         raise ConfigError("noise must be nonnegative")
+    if center_scale < 0:
+        raise ConfigError(f"center_scale must be nonnegative, got {center_scale}")
+    if seed < 0:
+        raise ConfigError(f"seed {seed} is negative; seeds must be >= 0")
     if emb_noise is None:
         emb_noise = noise
     rng = np.random.default_rng(seed)

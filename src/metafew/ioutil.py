@@ -118,8 +118,12 @@ def fmt_float(x: float) -> str:
 
 def stable_rng(*entropy: int) -> np.random.Generator:
     """Generator keyed by a tuple of nonnegative ints; reproducible across
-    runs and independent of draw order elsewhere."""
-    return np.random.default_rng(np.random.SeedSequence([int(e) for e in entropy]))
+    runs and independent of draw order elsewhere. A negative seed is a
+    ConfigError."""
+    keys = [int(e) for e in entropy]
+    if any(key < 0 for key in keys):
+        raise ConfigError(f"seed {min(keys)} is negative; seeds must be >= 0")
+    return np.random.default_rng(np.random.SeedSequence(keys))
 
 
 def magnitude_limit(width: int) -> float:

@@ -113,11 +113,6 @@ class Partition:
                             f"{self.num_clusters} clusters")
 
 
-def _cluster_means(points: np.ndarray, part: Partition) -> np.ndarray:
-    """Member mean of each cluster, one cluster at a time."""
-    return np.stack([points[m].mean(axis=0) for m in part.clusters])
-
-
 # -- metric-scaled k-means ------------------------------------------------------
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -160,6 +155,8 @@ def kmeans(points: np.ndarray, k: int, scaling: np.ndarray | None = None,
         raise InfeasibleError(f"k={k} exceeds point count n={n}")
     if k < 1:
         raise ConfigError("k must be >= 1")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     if scaling is None:
         scaling = np.ones(d)
     scaling = np.asarray(scaling, dtype=np.float64)
@@ -202,24 +199,24 @@ def kmeans(points: np.ndarray, k: int, scaling: np.ndarray | None = None,
             break
         centroids = _member_means(columns, assign, k)
         prev_assign, prev_obj = assign, obj
-    part = Partition(assignment=assign, scaling=scaling, provenance="kmeans",
-                     k=k, seed=seed_val, objective=float(trace[-1]),
-                     objective_trace=np.array(trace))
-    part.centroids = _cluster_means(points, part)
-    return part
+    return Partition(assignment=assign, centroids=_member_means(points.T, assign, k),
+                     scaling=scaling, provenance="kmeans", k=k, seed=seed_val,
+                     objective=float(trace[-1]), objective_trace=np.array(trace))
 
 
 def _member_means(columns, assign, k):
     """Mean of each of the k clusters of points given as their columns
-    (d, n), with the bits of points[members].mean(axis=0). With two or more
-    columns numpy adds a cluster's rows one at a time in index order from
-    0.0, as bincount does; a single column it sums pairwise."""
+    (d, n), rows assigned -1 left out, with the bits of
+    points[members].mean(axis=0). With two or more columns numpy adds a
+    cluster's rows one at a time in index order from 0.0, as bincount does;
+    a single column it sums pairwise."""
     if len(columns) == 1:
         return np.array([[columns[0][m].mean()] for m in Partition(assign).clusters])
+    shifted = assign + 1  # bin 0 holds the discarded rows
     sums = np.empty((k, len(columns)))
     for j, col in enumerate(columns):
-        sums[:, j] = np.bincount(assign, weights=col, minlength=k)
-    return sums / np.bincount(assign, minlength=k)[:, None]
+        sums[:, j] = np.bincount(shifted, weights=col, minlength=k + 1)[1:]
+    return sums / np.bincount(shifted, minlength=k + 1)[1:, None]
 
 
 def _aligned(rows: int) -> int:
@@ -445,6 +442,8 @@ def hyperplane_partition(points: np.ndarray, n_way: int, margin: float, r_min: i
     and size pruning. Non-finite points are caught by the slicing's first
     plane."""
     points = _as_points(points)
+    if n_way < 1:
+        raise ConfigError(f"n_way must be >= 1, got {n_way}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     h = max(1, math.ceil(math.log2(n_way)))
     if len(pool) < h:
@@ -486,15 +485,16 @@ def partition_from_labels(ds: DataSet, split: str | None = None) -> Partition:
     part = _lift(Partition(assignment=ids, provenance="supervised", k=len(values)),
                  rows, ds.n)
     if ds.embeddings is not None:
-        part.centroids = _cluster_means(ds.embeddings, part)
+        part.centroids = _member_means(ds.embeddings.T, part.assignment, len(values))
     return part
 
 
 # -- text serialization --------------------------------------------------------
 
 def save_partition(part: Partition, path) -> None:
-    """One `index,cluster` line per point; header lines carry provenance,
-    k, seed, scaling, and (for hyperplane partitions) margin and planes."""
+    """One line per point holding its cluster id (-1: discarded), in row
+    order; header lines carry provenance, n, k, seed, source space, scaling,
+    and (for hyperplane partitions) margin and planes."""
     header = [f"provenance={part.provenance}", f"n={part.n}",
               f"k={part.k if part.k is not None else part.num_clusters}",
               f"seed={part.seed if part.seed is not None else ''}",
@@ -506,8 +506,7 @@ def save_partition(part: Partition, path) -> None:
     for h in part.hyperplanes or []:
         header.append("hyperplane=" + ",".join(fmt_float(v) for v in h.normal) + ";"
                       + ",".join(fmt_float(v) for v in h.point))
-    pairs = np.column_stack([np.arange(part.n), part.assignment]).ravel()
-    write_text(path, header, "%d,%d\n" * part.n % tuple(pairs.tolist()))
+    write_text(path, header, "%d\n" * part.n % tuple(part.assignment.tolist()))
 
 
 def load_partition(path, points: np.ndarray | None = None) -> Partition:
@@ -515,8 +514,9 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
     points are supplied, the partition must come from the embedding space,
     they must number n, the scaling and every hyperplane must match their
     width, and centroids are recomputed as member means.
-    The body must list every index 0..n-1 once, with cluster ids -1 and
-    0..k-1 for some k >= 1, none skipped. A malformed header is a DataError."""
+    The body must hold n lines of one field, line i the cluster id of point
+    i: -1 or 0..k-1 for some k >= 1, none skipped. A malformed header is a
+    DataError."""
     text = read_text(path)
     fields = [line.partition("=")[::2] for line in header_lines(text)]  # (key, value)
     header = dict(fields)
@@ -526,21 +526,16 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
     def header_value(key, parse):  # an unset k or seed is written empty
         return parse_field(path, key, header[key], parse) if header.get(key) else None
 
-    pairs = _parse_assignment_lines(path, text)
+    assignment = _parse_assignment_lines(path, text)
     n = header_value("n", int)
-    n = len(pairs) if n is None else n
-    if len(pairs) != n:
-        raise DataError(f"{path}: {len(pairs)} assignment lines, header says n={n}")
+    n = len(assignment) if n is None else n
+    if len(assignment) != n:
+        raise DataError(f"{path}: {len(assignment)} assignment lines, header says n={n}")
     if points is not None and len(points) != n:
         raise DataError(f"{path}: partition of {n} points, but {len(points)} "
                         f"points were given")
-    idx, cluster = pairs[:, 0], pairs[:, 1]
-    if not np.array_equal(np.sort(idx), np.arange(n)):
-        raise DataError(f"{path}: point indices must list 0..{n - 1} once each")
-    if ((cluster < -1) | (cluster >= n)).any():
+    if ((assignment < -1) | (assignment >= n)).any():
         raise DataError(f"{path}: cluster id outside -1..{n - 1}")
-    assignment = np.full(n, -1, dtype=np.int64)
-    assignment[idx] = cluster
     part = Partition(
         assignment=assignment,
         scaling=header_value("scaling", _parse_floats),
@@ -572,7 +567,7 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
     if not part.num_clusters:
         raise DataError(f"{path}: every point is discarded (cluster -1)")
     if points is not None:
-        part.centroids = _cluster_means(points, part)
+        part.centroids = _member_means(points.T, assignment, part.num_clusters)
     return part
 
 
@@ -586,15 +581,17 @@ def _parse_hyperplane(text: str) -> Hyperplane:
 
 
 def _parse_assignment_lines(path, text: str) -> np.ndarray:
-    """The `index,cluster` body lines of a partition file as an (m, 2) array."""
+    """The cluster ids of a partition file's body lines, one field each. An
+    old `index,cluster` body has two fields a line: 2-d parsing keeps a
+    one-line `0,3` from reading as two ids."""
     body = body_text(text)
     if not body:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty(0, dtype=np.int64)
     try:
-        pairs = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
-                           ndmin=2, comments="#")
+        ids = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
+                         ndmin=2, comments="#")
     except ValueError as exc:
         raise DataError(f"{path}: bad assignment line: {exc}") from None
-    if pairs.shape[1] != 2:
-        raise DataError(f"{path}: assignment lines need 2 fields, got {pairs.shape[1]}")
-    return pairs
+    if ids.shape[1] != 1:
+        raise DataError(f"{path}: assignment lines need 1 field, got {ids.shape[1]}")
+    return ids[:, 0]

@@ -9,10 +9,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import DataSet, split_code
+from .data import SPLITS, DataSet, split_code
 from .errors import (ConfigError, DataError, InfeasibleError, ShapeError,
                      TaskRejected)
-from .ioutil import body_lines, parse_field, read_text, stable_rng, write_text
+from .ioutil import (body_lines, naming, parse_field, read_text, stable_rng,
+                     write_text)
 from .partition import Partition, partition_from_labels, signed_distance
 
 INPUT_REPRS = ("raw", "embedding")
@@ -175,9 +176,15 @@ def sample_eligible_attribute_task(ds: DataSet, split: str, k_shot: int,
                                    q_queries: int, rng: np.random.Generator,
                                    attr_pool=None, input_repr: str = "raw",
                                    max_tries: int = 1000) -> Task:
-    """Resample random attribute triples until one has enough members on
-    both sides."""
-    pool = np.arange(ds.num_attributes) if attr_pool is None else np.asarray(attr_pool)
+    """Resample random attribute triples from the pool (every attribute
+    when None) until one has enough members on both sides."""
+    if ds.attributes is None:
+        raise DataError("attribute tasks require attributes")
+    count = ds.num_attributes
+    pool = np.arange(count) if attr_pool is None else np.asarray(attr_pool, dtype=np.int64)
+    outside = pool[(pool < 0) | (pool >= count)]
+    if outside.size:
+        raise ConfigError(f"attribute index {outside[0]} outside 0..{count - 1}")
     if pool.size < 3:
         raise ConfigError("attribute pool must hold at least 3 indices")
     for _ in range(max_tries):
@@ -280,15 +287,10 @@ def validate_task(task: Task, ds: DataSet | None = None,
     if not (np.all(slots_train == expect[:, None]) and np.all(slots_query == expect[:, None])):
         raise DataError("labels do not follow the sampled slot permutation")
     all_idx = np.concatenate([task.train_indices, task.query_indices])
-    if np.unique(all_idx).size != all_idx.size:
-        raise DataError("duplicate datapoint index within task")
+    if ds is not None and (all_idx.min() < 0 or all_idx.max() >= ds.n):
+        raise DataError("task indices outside dataset")
+    _check_rows(all_idx, ds, task.split)
     if ds is not None:
-        if all_idx.min() < 0 or all_idx.max() >= ds.n:
-            raise DataError("task indices outside dataset")
-        if task.split is not None:
-            want = split_code(task.split)
-            if not np.all(ds.split[all_idx] == want):
-                raise DataError(f"task points leave the declared split {task.split!r}")
         want_train = _fetch_inputs(ds, task.train_indices, task.input_repr)
         want_query = _fetch_inputs(ds, task.query_indices, task.input_repr)
         if not (np.array_equal(want_train, task.train_x)
@@ -302,6 +304,16 @@ def validate_task(task: Task, ds: DataSet | None = None,
         for h in partition.hyperplanes:
             if np.any(np.abs(signed_distance(h, pts)) < margin):
                 raise DataError("task point violates the hyperplane margin")
+
+
+def _check_rows(rows: np.ndarray, ds: DataSet | None, split: str | None) -> None:
+    """A task's dataset rows must be distinct and, given the dataset, all
+    of the task's declared split (when it declares one)."""
+    if np.unique(rows).size != rows.size:
+        raise DataError("duplicate datapoint index within task")
+    if (ds is not None and split is not None
+            and not np.all(ds.split[rows] == split_code(split))):
+        raise DataError(f"task points leave the declared split {split!r}")
 
 
 # -- manifests --------------------------------------------------------------------
@@ -331,8 +343,9 @@ _MANIFEST_FIELDS = 12
 def read_task_manifest(path, ds: DataSet) -> list[Task]:
     """Tasks of a manifest, with inputs fetched from the dataset's rows. A
     line with a wrong field count, a non-integer field, an unknown
-    input_repr, a wrong number of indices or source ids, an index outside
-    the dataset, or a label_perm that is not a permutation is a DataError."""
+    input_repr or split, a wrong number of indices or source ids, an index
+    outside the dataset, a row listed twice, a row outside the declared
+    split, or a label_perm that is not a permutation is a DataError."""
     tasks = []
     for lineno, line in body_lines(read_text(path)):
         where = f"{path}:{lineno}"
@@ -350,6 +363,8 @@ def read_task_manifest(path, ds: DataSet) -> list[Task]:
         if repr_ not in INPUT_REPRS:
             raise DataError(f"{where}: input_repr {repr_!r} is not one of "
                             f"{INPUT_REPRS}")
+        if split and split not in SPLITS:
+            raise DataError(f"{where}: split {split!r} is not one of {SPLITS}")
         train_indices = parse_field(where, "train indices", train_idx, _ints)
         query_indices = parse_field(where, "query indices", query_idx, _ints)
         label_perm = parse_field(where, "label_perm", perm, _ints)
@@ -363,6 +378,8 @@ def read_task_manifest(path, ds: DataSet) -> list[Task]:
             if bad.size:
                 raise DataError(f"{where}: {name} index {bad[0]} outside the "
                                 f"dataset's {ds.n} rows")
+        with naming(where):
+            _check_rows(np.concatenate([train_indices, query_indices]), ds, split or None)
         if source_ids.size != n:
             raise DataError(f"{where}: {source_ids.size} source ids for N={n}")
         if not np.array_equal(np.sort(label_perm), np.arange(n)):

@@ -57,6 +57,25 @@ def test_synth_zero_noise_flag_honored(tmp_path):
     first_class = ds.raw[ds.labels == 0]
     assert np.all(first_class == first_class[0])
 
+@pytest.mark.parametrize("stats, dim", [("meta-train", 0), ("all", 2)])
+def test_synth_whitening_is_identity_covariance_on_its_statistics_rows(tmp_path, stats,
+                                                                       dim):
+    path = tmp_path / "w.emb1"
+    assert main(synth_args(path, whiten="true", whiten_dim=dim,
+                           whiten_stats=stats)) == 0
+    ds = load_dataset(path)
+    width = dim or 3  # whiten_dim=0 keeps d_z
+    assert ds.d_z == width
+    train = ds.split_indices("meta-train")
+    rows, other = ((np.arange(ds.n), train) if stats == "all"
+                   else (train, np.arange(ds.n)))
+    z = ds.embeddings[rows]
+    assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(np.cov(z, rowvar=False), np.eye(width), atol=1e-12)
+    # the statistics came from these rows, not from the others
+    assert not np.allclose(np.cov(ds.embeddings[other], rowvar=False), np.eye(width),
+                           atol=1e-3)
+
 def test_unknown_config_key_is_exit_2(tmp_path, dataset, capsys):
     assert main(["synth", "bogus_key=1"]) == 2
     # partition generation and evaluation are serial; their former workers
@@ -145,6 +164,46 @@ def test_partition_count_below_one_is_exit_2(tmp_path, dataset, method, P, capsy
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"P must be >= 1, got {P}" in err
     assert not list(tmp_path.glob("e_*"))
+
+def partition_args(tmp_path, dataset, method, *extra):
+    return ["partition", f"data={dataset}", f"out_prefix={tmp_path / 'e'}",
+            f"method={method}", *PARTITION_METHODS[method], *extra]
+
+# one value outside its domain per run, as argv(tmp_path, dataset, partition
+# prefix), and the words of the message; each once ended in a traceback
+OUT_OF_DOMAIN = {
+    "synth_seed": (lambda t, d, p: synth_args(t / "s.emb1", seed=-1),
+                   "seed -1 is negative"),
+    "partition_seed": (lambda t, d, p: partition_args(t, d, "random", "seed=-1"),
+                       "seed -1 is negative"),
+    "gen_tasks_seed": (lambda t, d, p: [
+        "gen-tasks", f"data={d}", f"partitions={p}_manifest.txt", f"out={t / 't.txt'}",
+        "tasks=2", "n_way=3", "k_shot=1", "q_queries=2", "seed=-1"], "seed -1 is negative"),
+    "meta_train_seed": (lambda t, d, p: meta_train_args(d, p, t / "m.ckpt", seed=-1),
+                        "seed -1 is negative"),
+    "evaluate_seed": (lambda t, d, p: eval_args(d, t / "r.csv", "knn", seed=-1),
+                      "seed -1 is negative"),
+    "center_scale": (lambda t, d, p: synth_args(t / "s.emb1", center_scale=-1),
+                     "center_scale must be nonnegative, got -1.0"),
+    "kmeans_max_iter": (lambda t, d, p: partition_args(t, d, "kmeans", "max_iter=0"),
+                        "max_iter must be >= 1, got 0"),
+    "pixel_max_iter": (lambda t, d, p: partition_args(t, d, "pixel", "max_iter=0"),
+                       "max_iter must be >= 1, got 0"),
+    "hyperplane_n_way": (lambda t, d, p: partition_args(t, d, "hyperplane", "n_way=0"),
+                         "n_way must be >= 1, got 0"),
+    "whiten_dim": (lambda t, d, p: synth_args(t / "s.emb1", whiten="true", whiten_dim=-2),
+                   "d_out -2 outside 1..3"),
+}
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+def test_config_value_outside_its_domain_is_exit_2(tmp_path, dataset, partitions, case,
+                                                   capsys):
+    argv, message = OUT_OF_DOMAIN[case]
+    capsys.readouterr()
+    assert main(argv(tmp_path, dataset, partitions)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert "Traceback" not in err
 
 def test_gen_tasks_manifest(tmp_path, dataset):
     prefix = tmp_path / "parts"
@@ -288,14 +347,17 @@ def test_evaluate_meta_learner_and_cluster_match(tmp_path, dataset, partitions):
     rc, _ = read_report_csv(pr)
     assert rc.fingerprint == ra.fingerprint
 
-# each edit rewrites the first body line (index 0) of a saved partition
+# each edit rewrites the n body lines of a saved partition, line i holding
+# point i's cluster id; the old_form edits give the `index,cluster` form
 BAD_PARTITION_LINES = {
-    "negative_index": lambda first, n: "-1," + first.split(",")[1],
-    "repeated_index": lambda first, n: "1," + first.split(",")[1],
-    "non_integer": lambda first, n: "0,x",
-    "index_past_end": lambda first, n: f"{n}," + first.split(",")[1],
-    "cluster_below_minus_one": lambda first, n: "0,-2",
-    "cluster_id_skipped": lambda first, n: f"0,{n - 1}",
+    "line_missing": lambda body, n: body[1:],
+    "line_repeated": lambda body, n: body[:1] + body,
+    "non_integer": lambda body, n: ["x"] + body[1:],
+    "cluster_past_end": lambda body, n: [str(n)] + body[1:],
+    "cluster_below_minus_one": lambda body, n: ["-2"] + body[1:],
+    "cluster_id_skipped": lambda body, n: [str(n - 1)] + body[1:],
+    "old_form_line": lambda body, n: [f"0,{body[0]}"] + body[1:],
+    "old_form_file": lambda body, n: [f"{i},{c}" for i, c in enumerate(body)],
 }
 
 @pytest.mark.parametrize("case", sorted(BAD_PARTITION_LINES))
@@ -304,14 +366,14 @@ def test_evaluate_malformed_partition_is_exit_3(tmp_path, dataset, partitions,
     path = tmp_path / "bad.part"
     lines = (tmp_path / f"{partitions.name}_000.part").read_text().splitlines()
     first = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    n = len(lines) - first
-    lines[first] = BAD_PARTITION_LINES[case](lines[first], n)
+    body = lines[first:]
+    lines[first:] = BAD_PARTITION_LINES[case](body, len(body))
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(eval_args(dataset, tmp_path / "cm.csv", "cluster-match",
                           partition=path)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "Traceback" not in err
+    assert err.startswith(f"data error: {path}: ") and "Traceback" not in err
 
 def assert_data_error(capsys, argv):
     capsys.readouterr()
@@ -447,16 +509,21 @@ def test_dataset_cut_inside_its_config_trailer_is_exit_3(tmp_path, dataset, wher
     assert "trailer" in err and "Traceback" not in err
 
 # each edit rewrites one field of the first task line of a manifest over the
-# 72-row dataset: (field index, new value)
+# 72-row dataset: (field index, new value from the field and the line's fields)
 BAD_MANIFEST_FIELDS = {
-    "negative_train_index": (10, lambda v: "-1," + v.split(",", 1)[1]),
-    "query_index_past_end": (11, lambda v: "72," + v.split(",", 1)[1]),
-    "non_numeric_index": (10, lambda v: "x," + v.split(",", 1)[1]),
-    "non_numeric_k": (2, lambda v: "one"),
-    "perm_not_a_permutation": (9, lambda v: ",".join(["0"] * len(v.split(",")))),
+    "negative_train_index": (10, lambda v, f: "-1," + v.split(",", 1)[1]),
+    "query_index_past_end": (11, lambda v, f: "72," + v.split(",", 1)[1]),
+    "non_numeric_index": (10, lambda v, f: "x," + v.split(",", 1)[1]),
+    "non_numeric_k": (2, lambda v, f: "one"),
+    "perm_not_a_permutation": (9, lambda v, f: ",".join(["0"] * len(v.split(",")))),
     "missing_field": (None, None),
+    # a query row that is also a train row leaks the answer
+    "query_repeats_train_row": (11, lambda v, f: f[10].split(",")[0] + ","
+                                + v.split(",", 1)[1]),
+    "split_rewritten": (5, lambda v, f: "meta-test"),
+    "input_repr_rewritten": (4, lambda v, f: "embedding"),
 }
-# words of the reader's message for each edit
+# words of the reader's (or evaluate's) message for each edit
 BAD_MANIFEST_MESSAGES = {
     "negative_train_index": "train index -1 outside",
     "query_index_past_end": "query index 72 outside",
@@ -464,6 +531,10 @@ BAD_MANIFEST_MESSAGES = {
     "non_numeric_k": "bad k 'one'",
     "perm_not_a_permutation": "label_perm '0,0,0' is not a permutation",
     "missing_field": "11 fields, expected 12",
+    "query_repeats_train_row": "duplicate datapoint index within task",
+    "split_rewritten": "task points leave the declared split 'meta-test'",
+    "input_repr_rewritten": "task has input_repr 'embedding', but evaluate runs on "
+                            "input_repr 'raw'",
 }
 
 @pytest.mark.parametrize("case", sorted(BAD_MANIFEST_FIELDS))
@@ -481,10 +552,10 @@ def test_evaluate_malformed_task_manifest_is_exit_3(tmp_path, dataset, partition
     if index is None:
         fields.pop()
     else:
-        fields[index] = edit(fields[index])
+        fields[index] = edit(fields[index], fields)
     lines[first] = ";".join(fields)
     manifest.write_text("\n".join(lines) + "\n")
-    # the tasks are meta-train tasks, so only the reader can reject them
+    # the tasks are meta-train tasks, so only the edit can be rejected
     err = assert_data_error(capsys, eval_args(dataset, tmp_path / "knn.csv", "knn",
                                               tasks_manifest=manifest,
                                               split="meta-train"))
@@ -519,6 +590,37 @@ def test_gen_tasks_attribute_source(tmp_path):
     tasks = read_task_manifest(out, ds)
     assert len(tasks) == 5
     assert all(t.n_way == 2 for t in tasks)
+
+# attr_pool values over a dataset of 6 attributes, and the words of the message
+BAD_ATTR_POOLS = {
+    "not_integers": ("a,b,c", "bad attr_pool 'a,b,c'"),
+    "index_past_end": ("0,1,9", "attribute index 9 outside 0..5"),
+    "negative_index": ("0,1,-1", "attribute index -1 outside 0..5"),
+}
+
+@pytest.mark.parametrize("case", sorted(BAD_ATTR_POOLS))
+def test_gen_tasks_bad_attribute_pool_is_exit_2(tmp_path, case, capsys):
+    import metafew
+    rng = np.random.default_rng(32)
+    path = tmp_path / "attr.emb1"
+    metafew.save_dataset(metafew.DataSet(
+        raw=rng.standard_normal((200, 3)),
+        attributes=rng.integers(0, 2, (200, 6)).astype(bool)), path)
+    pool, message = BAD_ATTR_POOLS[case]
+    capsys.readouterr()
+    assert main(["gen-tasks", f"data={path}", f"out={tmp_path / 't.txt'}",
+                 "source=attributes", "tasks=2", "n_way=2", f"attr_pool={pool}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert "Traceback" not in err and not (tmp_path / "t.txt").exists()
+
+@pytest.mark.parametrize("pool", ["", "0,1,2"])
+def test_gen_tasks_attributes_of_a_dataset_without_them_is_exit_3(tmp_path, dataset,
+                                                                  pool, capsys):
+    err = assert_data_error(capsys, [
+        "gen-tasks", f"data={dataset}", f"out={tmp_path / 't.txt'}",
+        "source=attributes", "tasks=2", "n_way=2", f"attr_pool={pool}"])
+    assert "attribute tasks require attributes" in err
 
 def test_usage_and_help():
     assert main([]) == 0

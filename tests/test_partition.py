@@ -533,14 +533,14 @@ def test_saved_body_lists_every_point_in_order(tmp_path):
     path = tmp_path / "b.part"
     save_partition(part, path)
     body = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    assert body == [f"{i},{c}" for i, c in enumerate(part.assignment)]
+    assert body == [str(c) for c in part.assignment]
 
 def test_clusters_are_ascending_members_of_each_id(tmp_path):
     rng = np.random.default_rng(66)
     assignment = rng.integers(-1, 5, size=200)
     path = tmp_path / "c.part"
     path.write_text("# provenance=random\n# n=200\n"
-                    + "".join(f"{i},{c}\n" for i, c in enumerate(assignment)))
+                    + "".join(f"{c}\n" for c in assignment))
     loaded = load_partition(path)
     assert len(loaded.clusters) == 5
     for c, members in enumerate(loaded.clusters):
@@ -567,14 +567,18 @@ def test_load_skips_blank_lines_and_reads_headers_anywhere(tmp_path):
         assert np.array_equal(ha.normal, hb.normal)
         assert np.array_equal(ha.point, hb.point)
 
-# bodies after the header `# n=2`, and the message after the path
+# bodies after the header `# n=2`, and the message after the path; the
+# old_form cases are `index,cluster` bodies, which are never read as ids
+# (a later header line wins, so the one-row file declares n=1)
 BAD_BODIES = {
-    "bad_value": ("0,1\n# k=2\n1,x\n", "bad assignment line: could not convert "
-                                       "string 'x' to int64 at row 1, column 2"),
-    "three_fields": ("0,1,5\n1,0,5\n", "assignment lines need 2 fields, got 3"),
-    "count": ("\n0,1\n  \n", "1 assignment lines, header says n=2"),
+    "bad_value": ("1\n# k=2\nx\n", "bad assignment line: could not convert "
+                                   "string 'x' to int64 at row 1, column 1"),
+    "three_fields": ("0,1,5\n1,0,5\n", "assignment lines need 1 field, got 3"),
+    "old_form": ("0,1\n1,0\n", "assignment lines need 1 field, got 2"),
+    "old_form_one_row": ("# n=1\n0,3\n", "assignment lines need 1 field, got 2"),
+    "count": ("\n1\n  \n", "1 assignment lines, header says n=2"),
     "no_body": ("# k=1\n", "0 assignment lines, header says n=2"),
-    "all_discarded": ("0,-1\n1,-1\n", "every point is discarded (cluster -1)"),
+    "all_discarded": ("-1\n-1\n", "every point is discarded (cluster -1)"),
 }
 
 @pytest.mark.parametrize("case", sorted(BAD_BODIES))

@@ -6,7 +6,7 @@ import pytest
 from helpers import (reference_clusters, reference_task_from_partition,
                      sample_supervised_task)
 from metafew.data import DataSet, synth_mixture
-from metafew.errors import ConfigError, InfeasibleError, TaskRejected
+from metafew.errors import ConfigError, DataError, InfeasibleError, TaskRejected
 from metafew.partition import (Partition, generate_partitions, partition_from_labels,
                                random_partition)
 from metafew.tasks import (Task, TaskStreamConfig, eligible_clusters,
@@ -193,6 +193,18 @@ def test_eligible_attribute_resampling():
     task = sample_eligible_attribute_task(ds, "meta-train", 5, 5,
                                           np.random.default_rng(93))
     validate_task(task, ds)
+
+@pytest.mark.parametrize("pool, error, message", [
+    ([0, 1, 6], ConfigError, "attribute index 6 outside 0..5"),
+    ([0, 1, -1], ConfigError, "attribute index -1 outside 0..5"),
+    ([0, 1], ConfigError, "at least 3 indices"),
+    (None, DataError, "attribute tasks require attributes"),
+])
+def test_eligible_attribute_task_checks_its_pool(pool, error, message):
+    ds = attribute_dataset() if error is ConfigError else DataSet(raw=np.zeros((4, 2)))
+    with pytest.raises(error, match=message):
+        sample_eligible_attribute_task(ds, "meta-train", 1, 1,
+                                       np.random.default_rng(94), attr_pool=pool)
 
 
 # -- invariants ----------------------------------------------------------------------

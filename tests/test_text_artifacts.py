@@ -15,7 +15,7 @@ from helpers import save_dataset_csv
 from metafew.data import DataSet
 from metafew.evaluation import (ComparisonRow, EvalReport, write_comparison_csv,
                                 write_report_csv)
-from metafew.partition import Hyperplane, Partition, save_partition
+from metafew.partition import Hyperplane, Partition, load_partition, save_partition
 from metafew.tasks import Task, write_task_manifest
 
 CONFIG = "tool=metafew 0.1.0\ncommand=test\nout=x y.csv"
@@ -102,11 +102,11 @@ PINNED = {
         '# seed=7\n'
         '# source_space=embedding\n'
         '# scaling=0.5,2.0\n'
-        '0,0\n'
-        '1,1\n'
-        '2,0\n'
-        '3,-1\n'
-        '4,1\n'
+        '0\n'
+        '1\n'
+        '0\n'
+        '-1\n'
+        '1\n'
     ),
     'partition_hyperplane': (
         '# provenance=hyperplane\n'
@@ -118,10 +118,10 @@ PINNED = {
         '# margin=0.125\n'
         '# hyperplane=1.0,-0.5;0.1,0.2\n'
         '# hyperplane=0.0,3.0;-1.0,1e-300\n'
-        '0,1\n'
-        '1,0\n'
-        '2,-1\n'
-        '3,1\n'
+        '1\n'
+        '0\n'
+        '-1\n'
+        '1\n'
     ),
     'partition_random': (
         '# provenance=random\n'
@@ -129,9 +129,9 @@ PINNED = {
         '# k=3\n'
         '# seed=11\n'
         '# source_space=raw\n'
-        '0,2\n'
-        '1,0\n'
-        '2,1\n'
+        '2\n'
+        '0\n'
+        '1\n'
     ),
     'partition_supervised': (
         '# provenance=supervised\n'
@@ -139,9 +139,9 @@ PINNED = {
         '# k=2\n'
         '# seed=\n'
         '# source_space=embedding\n'
-        '0,0\n'
-        '1,0\n'
-        '2,1\n'
+        '0\n'
+        '0\n'
+        '1\n'
     ),
     'task_manifest': (
         '# dataset=ds.emb1\n'
@@ -284,64 +284,112 @@ PARTITION_RUNS = {
 PARTITION_DIGESTS = {
     'hyperplane': {
         'hyperplane_000.part':
-            'a6825907a8b6c9457e0037585513620dc0063553cba33a7e2af6146213f3b6f2',
+            '144e426f7105fcece6855da12b00dd040a7447ab17a6f7e72e2a3de3543ee8af',
         'hyperplane_001.part':
-            '781ac77ecdb4c4ce44667195dfc8afbc41f006cbae7aa116dcb165d1e21f76df',
+            'edc321502d05c70a8865ee7ee89ba5822e7fe55ae1e39c6c35c00248e8908a17',
         'hyperplane_manifest.txt':
             '43f2deab1d6dba2b1a4dcec635d0ff45d7244a8fd52148ee867b150391d451e5',
     },
     'kmeans': {
         'kmeans_000.part':
-            '291a675a249bfaa7c7e37e2fea5eb18a365aa01df0a69cd0650467a396ad6f1f',
+            '8fcd2e46bb8afd3bd191af4c271e283c65b8df551164bc1e45c9096585fc6ae7',
         'kmeans_001.part':
-            'a9a719592623268e429cd6c08b2db603ae4fc04c3efdbad5591d320ecb36a5d1',
+            '81a6082d748025e0c04ae5d40ebd782b5e1619d027d9e67551c5d109afa17a94',
         'kmeans_manifest.txt':
             '90f8b7241e5276953bf0610ad20e3970808d695c4cd65f68b4b063d6530cb771',
     },
     'kmeans_meta_test': {
         'kmeans_meta_test_000.part':
-            '9993aae06cac439154018580f90ca4c41538b3ac649e88f29a02eaa11abcff25',
+            '18700ad9b993f0e6bd2839825030ab312a3e72f332ff78c15f89e81d191555de',
         'kmeans_meta_test_001.part':
-            '3e52d71bff7135b7bd38722691fa3c94b308616b4a986f9f4d99d6491223a4b4',
+            'd59b1e398ec24955c63e8c33b049a2b0a071ed27c9a29752683e8617253839be',
         'kmeans_meta_test_manifest.txt':
             'b53056e71881127f3090fc974386a3210109f83df7b12596f621563662d0eceb',
     },
     'pixel': {
         'pixel_000.part':
-            '13f03c81acd0ce03833599cfdd65f03fa3abe92de4a9a0e14b0572406c75b4c9',
+            'fd710af54e36771590fce1bce0abadcfd9db0ea9bb707f1e82a545363c50eb4d',
         'pixel_001.part':
-            '8cd0b6e3fe5955cc785a08fc37d59beef7ecf7fa57958c732d3784f3d378149f',
+            '8e841ed1e0815e6e5110595504a8e618c1fbbfa68c0ec216056db1de62d5a437',
         'pixel_manifest.txt':
             'a4f636a510566493c43857916f894cbb9b73d6966e3412c827848da269da9d36',
     },
     'random': {
         'random_000.part':
-            'ca2d35cccf88c81bb59f6e6c87dfc44f471efab0a98449ac6745f17d799cd5a7',
+            'b5197931f8867c02de41454e73b720e7da830aecb3a9eec3e5a6dd61d42075f5',
         'random_001.part':
-            '94c3f40d6eacb3427bab8803ffecf0ba1ddab1b6a277c899e75f0489ffc91d58',
+            'cfe49cc99c7dc194708be91a06284234305dc5a64de85eb817ee37c3e0ff2494',
         'random_manifest.txt':
             '17f6a8100e179f2a75337ad670ed74c44c11812dc01065374d5f1be3f1aad969',
     },
     'random_meta_val': {
         'random_meta_val_000.part':
-            '99e73002156d421da0bae75dba8a1de60c58b6748d24d8189bd77e7ec66c46e7',
+            '8cc00f6839fdf68d5a7419cfb64612f1be24f42a55daa07f27398e65716c7b54',
         'random_meta_val_manifest.txt':
             '42bc83f43f1313dd20e9e3627076f6b1146ece60e5a9ae6dd3039ccd33733d06',
     },
 }
 
+# sha256 of each partition file's loaded assignment as <i8 bytes, by file
+# name; taken from the files of the two-column `index,cluster` format, so
+# they show that the one-column files hold the same assignments
+ASSIGNMENT_DIGESTS = {
+    'hyperplane': {
+        'hyperplane_000.part':
+            'eca77b296edd61b2a2dc7f76b7684ad93d5550a971cf6ce1f2dfeaf1a9999d1b',
+        'hyperplane_001.part':
+            '2b171e421461b57555d31b498ecb5bcc5c2bac3a1dc668fc1262cf3496cba275',
+    },
+    'kmeans': {
+        'kmeans_000.part':
+            '8e0183c5bedb56076c89528b0dd19a6e095e17a4fb4c5364a9e5a40e5210fc72',
+        'kmeans_001.part':
+            '1d8957a2a0925bb9800e63d76e720a685f4ceae419371c28cc06f214b50bc0f6',
+    },
+    'kmeans_meta_test': {
+        'kmeans_meta_test_000.part':
+            '27f6395bdd75280958b6aa7688b1340a376ed7666c6558aae89db968def27e7f',
+        'kmeans_meta_test_001.part':
+            '9be57ffc36551df1ac5ec764b499e912863e4583b566e74b4000ac1c50f3d3af',
+    },
+    'pixel': {
+        'pixel_000.part':
+            '964edc2d836fba5e04a859e2ef8fae3e9da5e0af1fb1198c2c204aea2dcc2b81',
+        'pixel_001.part':
+            'b473c61ca9de5a19d8fab428e22aeb0652ea0cb7d60684b606107d409f63fa0b',
+    },
+    'random': {
+        'random_000.part':
+            '8fa6ac51f3ed61e84d1bf59443cb2e9fa7d0387d0e600a3884fa05566987fdff',
+        'random_001.part':
+            'affd50d1eebc9f93407eb23fa10ecf19aa087a12f0c1e78e0dece5a891da0dcd',
+    },
+    'random_meta_val': {
+        'random_meta_val_000.part':
+            'da5dd614d7c2476b45eef8012b74a322927e37da69ef5656e4f2d7302e938c47',
+    },
+}
 
-def partition_digests(tmp_path, monkeypatch, run: str) -> dict[str, str]:
+
+def partition_digests(tmp_path, monkeypatch, run: str) -> tuple[dict, dict]:
+    """sha256 of every file the run writes, and of each partition file's
+    loaded assignment, by file name."""
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "out=ds.emb1", "classes=5", "per_class=20", "d_in=4",
                  "d_z=3", "noise=0.3", "seed=5", "split_mode=by_fraction",
                  "train_frac=0.6", "val_frac=0.2", "test_frac=0.2"]) == 0
     assert main(["partition", "data=ds.emb1", f"out_prefix={run}",
                  *PARTITION_RUNS[run]]) == 0
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(tmp_path.glob(f"{run}_*"))}
+    files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in sorted(tmp_path.glob(f"{run}_*"))}
+    assignments = {path.name: hashlib.sha256(
+        load_partition(path).assignment.astype("<i8").tobytes()).hexdigest()
+        for path in sorted(tmp_path.glob(f"{run}_*.part"))}
+    return files, assignments
 
 
 @pytest.mark.parametrize("run", sorted(PARTITION_RUNS))
 def test_partition_command_keeps_its_bytes(tmp_path, monkeypatch, run):
-    assert partition_digests(tmp_path, monkeypatch, run) == PARTITION_DIGESTS[run]
+    files, assignments = partition_digests(tmp_path, monkeypatch, run)
+    assert files == PARTITION_DIGESTS[run]
+    assert assignments == ASSIGNMENT_DIGESTS[run]
