@@ -249,7 +249,7 @@ def _say(text: str) -> None:
 def cmd_synth(cfg: dict, echo: str) -> int:
     ds = synth_mixture(cfg["classes"], cfg["per_class"], cfg["d_in"], cfg["d_z"],
                        cfg["noise"], cfg["seed"], center_scale=cfg["center_scale"],
-                       emb_noise=None if cfg["emb_noise"] < 0 else cfg["emb_noise"])
+                       emb_noise=None if cfg["emb_noise"] == -1 else cfg["emb_noise"])
     mode = cfg["split_mode"]
     if mode == "by_fraction":
         spec = SplitSpec("by_fraction",
@@ -276,7 +276,7 @@ def cmd_partition(cfg: dict, echo: str) -> int:
     ds = load_dataset(_require_file(cfg["data"], "dataset"))
     parts = generate_partitions(ds, cfg["P"], **{key: cfg[key] for key in (
         "k", "seed", "split", "method", "n_way", "margin", "r_min", "pool_size",
-        "retry_cap", "max_iter", "tol")})
+        "retry_cap", "max_iter", "tol")}, workers=default_workers())
     paths = [f"{cfg['out_prefix']}_{i:03d}.part" for i in range(len(parts))]
     for part, path in zip(parts, paths):
         save_partition(part, path)
@@ -422,6 +422,11 @@ def cmd_evaluate(cfg: dict, echo: str) -> int:
                         else f"{key} {value!r}")
                 raise DataError(f"{manifest}:{lineno}: task has {held}, but "
                                 f"evaluate runs on {key} {cfg[key]!r}")
+        echoed = dict(cfg, tasks=len(tasks))  # what ran, not the keys' values
+        for key in ("n_way", "k_shot", "q_queries"):
+            values = {getattr(t, key) for t in tasks}  # one, unless shapes mix
+            echoed[key] = values.pop() if len(values) == 1 else ""
+        echo = effective_config_text("evaluate", echoed)
     else:
         stream_cfg = TaskStreamConfig(
             tasks=cfg["tasks"], n_way=cfg["n_way"], k_shot=cfg["k_shot"],

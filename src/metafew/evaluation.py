@@ -5,17 +5,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ioutil import (body_lines, fmt_float, header_lines, header_text, naming,
-                     parse_field, read_text, stable_rng, write_text)
+from .ioutil import (body_lines, fmt_float, fork_map, header_lines, header_text,
+                     naming, parse_field, read_text, stable_rng, write_text)
 from .tasks import Task, stack_key
 
 Z95 = 1.96
@@ -130,84 +127,6 @@ def _evaluate_part(predict_fn: Callable, tasks: list[Task], seed: int) -> list[f
     return acc
 
 
-def _fork_part(predict_fn: Callable, tasks: list[Task], seed: int):
-    """Evaluate tasks in a forked child: (pid, read end of its pipe), or
-    None when no pipe or child can be made, or the platform cannot fork.
-
-    The child writes one pickled (True, accuracies) or (False, exception)
-    and leaves through os._exit on every path, so it never returns into the
-    caller or flushes the parent's stdio. It writes nothing when the result
-    cannot be pickled and rebuilt, and then exits 1."""
-    if not hasattr(os, "fork"):
-        return None
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                result = (True, _evaluate_part(predict_fn, tasks, seed))
-            except Exception as exc:
-                result = (False, exc)
-            blob = pickle.dumps(result)
-            pickle.loads(blob)
-            with open(write_fd, "wb") as fh:
-                fh.write(blob)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _evaluate_parts(predict_fn: Callable, parts: list[list[Task]],
-                    seed: int) -> list[float]:
-    """Part 0 in this process, every other part in a forked child; the
-    accuracies in task order. The first failing part's exception is raised,
-    as serial evaluation would raise it. A part whose child could not start,
-    or ended without sending its result, is evaluated here instead."""
-    children = {}
-    try:
-        for i, part in enumerate(parts[1:], start=1):
-            child = _fork_part(predict_fn, part, seed)
-            if child is not None:
-                children[i] = child
-        acc = _evaluate_part(predict_fn, parts[0], seed)
-        for i, part in enumerate(parts[1:], start=1):
-            result = None
-            if i in children:
-                pid, read_fd = children[i]
-                with open(read_fd, "rb", closefd=False) as fh:
-                    blob = fh.read()
-                _, status = os.waitpid(pid, 0)
-                os.close(read_fd)
-                del children[i]
-                if status == 0:
-                    result = pickle.loads(blob)
-            if result is None:
-                result = (True, _evaluate_part(predict_fn, part, seed))
-            ok, value = result
-            if not ok:
-                raise value
-            acc.extend(value)
-        return acc
-    finally:
-        # left only when a part raised: its result settles the call
-        for pid, read_fd in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-
-
 def evaluate(predict_fn: Callable, tasks: list[Task], learner_id: str = "",
              fingerprint: str = "", seed: int = 0, workers: int = 1) -> EvalReport:
     """Per-task accuracy of predict_fn over a fixed task set.
@@ -221,19 +140,16 @@ def evaluate(predict_fn: Callable, tasks: list[Task], learner_id: str = "",
 
     workers > 1 splits the task list into that many contiguous parts (at
     most one per task) and evaluates all but the first in forked child
-    processes; the report is the same bits as at workers=1. Pass it only
-    from a process without other running threads: a child copies their
-    locks but not the threads.
+    processes (see ioutil.fork_map); the report is the same bits as at
+    workers=1.
     """
     tasks = list(tasks)
     if not tasks:
         raise ConfigError("no tasks to evaluate")
     if not fingerprint:
         fingerprint = task_set_fingerprint(tasks)
-    count = max(1, min(workers, len(tasks)))
-    bounds = [len(tasks) * i // count for i in range(count + 1)]
-    parts = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    acc = _evaluate_parts(predict_fn, parts, seed)
+    acc = fork_map(lambda part: _evaluate_part(predict_fn, part, seed), tasks,
+                   workers)
     return EvalReport(np.array(acc), learner_id=learner_id, fingerprint=fingerprint,
                       seed=seed)
 

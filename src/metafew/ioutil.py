@@ -1,13 +1,17 @@
 """Small shared I/O helpers: text artifacts, config trailers on binary
 artifacts, float formatting, seeded generators, the magnitude bound on
-loaded floats, the worker-count setting."""
+loaded floats, worker counts and work forked across processes."""
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
+import pickle
 import re
+import signal
 import struct
+import sys
 
 import numpy as np
 
@@ -135,9 +139,9 @@ def magnitude_limit(width: int) -> float:
 
 
 def default_workers() -> int:
-    """How many processes `evaluate` splits a fitted learner's task set
-    across: METAFEW_WORKERS, at least 1 and at most the CPUs this process
-    may run on, or that CPU count when it is unset."""
+    """How many processes `partition` and a fitted learner's `evaluate`
+    split their work across: METAFEW_WORKERS, at least 1 and at most the
+    CPUs this process may run on, or that CPU count when it is unset."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -149,3 +153,110 @@ def default_workers() -> int:
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV}={env!r} is not an integer") from None
     return cpus
+
+
+@functools.cache
+def openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS numpy links, or
+    None. Looked up on first use: a handle to numpy's core extension also
+    finds the symbols of the libraries it links."""
+    import ctypes
+    core = (sys.modules.get("numpy._core._multiarray_umath")  # numpy >= 2
+            or sys.modules["numpy.core._multiarray_umath"])
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+        get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+        if get and put:
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            return get, put
+    return None
+
+
+def _fork(fn, part):
+    """Run fn(part) in a forked child: (pid, read end of its pipe), or None
+    when no pipe or child can be made, or the platform cannot fork.
+
+    The child writes one pickled (True, result) or (False, exception) and
+    leaves through os._exit on every path, so it never returns into the
+    caller or flushes the parent's stdio. It writes nothing when the result
+    cannot be pickled and rebuilt, and then exits 1."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # a platform without fork, or no child
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, fn(part))
+            except Exception as exc:
+                result = (False, exc)
+            blob = pickle.dumps(result)
+            pickle.loads(blob)
+            with open(write_fd, "wb") as fh:
+                fh.write(blob)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def fork_map(fn, items, workers: int) -> list:
+    """The lists fn returns for min(workers, len(items)) contiguous parts of
+    items (at least one), concatenated. Part 0 runs here, every other part
+    in a forked child; until the children are reaped, OpenBLAS runs one
+    thread per process if that can be set (more threads than CPUs fight).
+    The first failing part's exception is raised, as a serial loop would
+    raise it. A part whose child could not start, or died, runs here. Call
+    it only from a process without other running threads: a child copies
+    their locks but not the threads."""
+    count = max(1, min(workers, len(items)))
+    bounds = [len(items) * i // count for i in range(count + 1)]
+    parts = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    blas = count > 1 and openblas_threads()
+    if blas:
+        threads = blas[0]()
+        blas[1](1)
+    children = {}
+    try:
+        for i, part in enumerate(parts[1:], start=1):
+            child = _fork(fn, part)
+            if child is not None:
+                children[i] = child
+        out = list(fn(parts[0]))
+        for i, part in enumerate(parts[1:], start=1):
+            result = None
+            if i in children:
+                pid, read_fd = children[i]
+                with open(read_fd, "rb", closefd=False) as fh:
+                    blob = fh.read()
+                _, status = os.waitpid(pid, 0)
+                os.close(children.pop(i)[1])
+                if status == 0:
+                    result = pickle.loads(blob)
+            ok, value = result or (True, fn(part))
+            if not ok:
+                raise value
+            out.extend(value)
+        return out
+    finally:
+        # children are left only when a part raised: its result settles the call
+        for pid, read_fd in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+        if blas:
+            blas[1](threads)

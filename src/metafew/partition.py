@@ -13,8 +13,9 @@ import numpy as np
 
 from .data import DataSet
 from .errors import ConfigError, DataError, InfeasibleError, NumericError, ShapeError
-from .ioutil import (body_text, fmt_float, header_lines, magnitude_limit, naming,
-                     parse_field, read_text, stable_rng, write_text)
+from .ioutil import (body_text, fmt_float, fork_map, header_lines, magnitude_limit,
+                     naming, openblas_threads, parse_field, read_text, stable_rng,
+                     write_text)
 
 PROVENANCES = ("kmeans", "hyperplane", "random", "supervised")
 
@@ -321,14 +322,15 @@ def generate_partitions(ds: DataSet, P: int, k: int = 0, seed: int = 0,
                         pool_size: int = HYPERPLANE_POOL_SIZE,
                         retry_cap: int = HYPERPLANE_RETRY_CAP,
                         max_iter: int = KMEANS_MAX_ITER,
-                        tol: float = KMEANS_TOL) -> list[Partition]:
+                        tol: float = KMEANS_TOL, workers: int = 1) -> list[Partition]:
     """P partitions of the split's rows by `method`, partition p drawn from
     stable_rng(seed, p) and indexed by dataset row (other rows discarded).
     kmeans clusters the embeddings under a fresh random diagonal metric with
     entries i.i.d. uniform on (0, 1]; pixel clusters the raw vectors; random
     assigns uniformly to k clusters; hyperplane slices by H-combinations of
     one pool drawn from stable_rng(seed, 0xB00) (see hyperplane_partition).
-    Partitions are built one after another; BLAS threads each Lloyd step."""
+    workers > 1 forks contiguous runs of p across processes (ioutil.fork_map)
+    when OpenBLAS's thread count can be set; the bits do not change."""
     if P < 1:
         raise ConfigError(f"P must be >= 1, got {P}")
     if method not in ("kmeans", "pixel", "random", "hyperplane"):
@@ -358,7 +360,8 @@ def generate_partitions(ds: DataSet, P: int, k: int = 0, seed: int = 0,
         return _lift(part, rows, ds.n, seed=seed,
                      source_space="raw" if method == "pixel" else "embedding")
 
-    return [build(p) for p in range(P)]
+    return fork_map(lambda ps: [build(p) for p in ps], range(P),
+                    workers if openblas_threads() else 1)
 
 
 def _lift(part: Partition, rows: np.ndarray, n: int, **fields) -> Partition:

@@ -57,6 +57,17 @@ def test_synth_zero_noise_flag_honored(tmp_path):
     first_class = ds.raw[ds.labels == 0]
     assert np.all(first_class == first_class[0])
 
+def test_synth_negative_emb_noise_other_than_minus_one_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "e.emb1"
+    assert main(synth_args(path, noise="0.5", emb_noise="-0.5")) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not path.exists()
+    # -1, the default, draws the embedding noise at the raw noise
+    assert main(synth_args(path, noise="0.5", emb_noise="-1")) == 0
+    same = tmp_path / "same.emb1"
+    assert main(synth_args(same, noise="0.5", emb_noise="0.5")) == 0
+    assert np.array_equal(load_dataset(path).embeddings, load_dataset(same).embeddings)
+
 @pytest.mark.parametrize("stats, dim", [("meta-train", 0), ("all", 2)])
 def test_synth_whitening_is_identity_covariance_on_its_statistics_rows(tmp_path, stats,
                                                                        dim):
@@ -78,8 +89,8 @@ def test_synth_whitening_is_identity_covariance_on_its_statistics_rows(tmp_path,
 
 def test_unknown_config_key_is_exit_2(tmp_path, dataset, capsys):
     assert main(["synth", "bogus_key=1"]) == 2
-    # partition generation and evaluation are serial; their former workers
-    # key is unknown
+    # partition and evaluate take their worker count from METAFEW_WORKERS;
+    # a workers key is unknown
     assert main(["partition", "data=x", "out_prefix=x", "method=kmeans",
                  "k=3", "workers=2"]) == 2
     capsys.readouterr()
@@ -299,6 +310,58 @@ def test_evaluate_same_seed_identical_csv(tmp_path, dataset):
     rows_b = [l for l in b.read_text().splitlines() if not l.startswith("#")]
     assert rows_a == rows_b
 
+PARTITION_METHODS = {"kmeans": ["k=4"], "pixel": ["k=4"], "random": ["k=4"],
+                     "hyperplane": ["n_way=2", "r_min=4"]}
+
+
+def partition_run(tmp_path, dataset, name, *args):
+    """(exit code, bytes of every file the run wrote, by name), written to
+    a new directory under one relative prefix, so the echoes are equal."""
+    out = tmp_path / name
+    out.mkdir()
+    os.chdir(out)
+    rc = main(["partition", f"data={dataset}", "out_prefix=p", *args])
+    return rc, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("method", sorted(PARTITION_METHODS))
+def test_partition_bytes_independent_of_metafew_workers(tmp_path, dataset, method,
+                                                        monkeypatch):
+    # four usable CPUs whatever the host has: P=3 is above two workers and
+    # below four
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.chdir(tmp_path)  # restored after partition_run's chdir
+    runs = []
+    for workers in ("1", "2", "4"):
+        monkeypatch.setenv("METAFEW_WORKERS", workers)
+        runs.append(partition_run(tmp_path, dataset, f"w{workers}", f"method={method}",
+                                  "P=3", "seed=9", *PARTITION_METHODS[method]))
+    assert runs[0][0] == 0 and len(runs[0][1]) == 4
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_partition_failure_in_a_forked_part_is_the_serial_error(tmp_path, dataset,
+                                                                monkeypatch, capsys):
+    # partition 0 is feasible and a later one is not, so with two workers the
+    # failure happens in the child
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.chdir(tmp_path)  # restored after partition_run's chdir
+    args = ["method=hyperplane", "seed=4", "n_way=4", "r_min=6", "retry_cap=0"]
+    monkeypatch.setenv("METAFEW_WORKERS", "1")
+    assert partition_run(tmp_path, dataset, "first", *args, "P=1")[0] == 0
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("METAFEW_WORKERS", workers)
+        capsys.readouterr()
+        rc, files = partition_run(tmp_path, dataset, f"w{workers}", *args, "P=3")
+        runs.append((rc, capsys.readouterr(), files))
+    assert runs[1] == runs[0]
+    rc, captured, files = runs[0]
+    assert rc == 2 and files == {} and captured.out == ""
+    assert captured.err.startswith("config error: hyperplane partition infeasible")
+
+
 @pytest.mark.parametrize("learner", ["maml", "scratch", "linear", "mlp"])
 def test_evaluate_bytes_independent_of_metafew_workers(tmp_path, dataset, partitions,
                                                        learner, capfd, monkeypatch):
@@ -465,6 +528,36 @@ def test_evaluate_from_task_manifest(tmp_path, dataset, partitions):
                           split="meta-train")) == 0
     report, _ = read_report_csv(out)
     assert report.task_count == 6
+
+def test_report_from_a_task_manifest_echoes_the_tasks_that_ran(tmp_path, dataset,
+                                                               partitions):
+    def manifest(name, **shape):
+        path = tmp_path / name
+        assert main(["gen-tasks", f"data={dataset}",
+                     f"partitions={partitions}_manifest.txt", f"out={path}",
+                     "seed=19", *(f"{k}={v}" for k, v in shape.items())]) == 0
+        return path
+
+    def echoed(path):
+        out = tmp_path / "knn.csv"
+        # eval_args sets tasks=12 n_way=2 k_shot=1 q_queries=5, none of which ran
+        assert main(eval_args(dataset, out, "knn", tasks_manifest=path,
+                              split="meta-train")) == 0
+        header = dict(line[2:].split("=", 1) for line in out.read_text().splitlines()
+                      if line.startswith("# ") and "=" in line)
+        return {key: header[key] for key in ("tasks", "n_way", "k_shot", "q_queries")}
+
+    three = manifest("three.txt", tasks=6, n_way=3, k_shot=2, q_queries=2)
+    assert echoed(three) == {"tasks": "6", "n_way": "3", "k_shot": "2",
+                             "q_queries": "2"}
+    # a manifest of two shapes leaves the shapes it does not share empty
+    two = manifest("two.txt", tasks=4, n_way=2, k_shot=2, q_queries=1)
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text(three.read_text() + "".join(
+        line + "\n" for line in two.read_text().splitlines()
+        if not line.startswith("#")))
+    assert echoed(mixed) == {"tasks": "10", "n_way": "", "k_shot": "2",
+                             "q_queries": ""}
 
 def test_evaluate_manifest_of_another_split_is_exit_3(tmp_path, dataset, partitions,
                                                       capsys):

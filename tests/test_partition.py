@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import metafew
 import metafew.partition as partition_module
+from metafew import ioutil
 from helpers import (brute_force_two_means, reference_assign, reference_centroids,
                      reference_clusters, reference_hyperplane_partition,
                      reference_label_clusters, reference_lifted_clusters,
@@ -251,6 +252,70 @@ def test_generate_partitions_at_paper_count():
     ds = synth_mixture(4, 15, 3, 2, noise=0.3, seed=34)
     parts = generate_partitions(ds, 50, 4, seed=35)
     assert len(parts) == 50
+
+def fields(parts):
+    """Every field of every partition, arrays as bytes, for exact equality."""
+    return [[(k, v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+             for k, v in vars(part).items()] for part in parts]
+
+
+def test_failed_fork_builds_every_partition_in_process(monkeypatch):
+    ds = synth_mixture(5, 20, 4, 3, noise=0.3, seed=30)
+    want = fields(generate_partitions(ds, 3, 5, seed=31))
+
+    def no_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert fields(generate_partitions(ds, 3, 5, seed=31, workers=2)) == want
+
+
+def test_partitions_are_serial_without_a_blas_thread_setter(monkeypatch):
+    ds = synth_mixture(5, 20, 4, 3, noise=0.3, seed=30)
+    want = fields(generate_partitions(ds, 3, 5, seed=31))
+
+    def fork():
+        raise AssertionError("forked without a BLAS thread setter")
+
+    monkeypatch.setattr(partition_module, "openblas_threads", lambda: None)
+    monkeypatch.setattr(os, "fork", fork)
+    assert fields(generate_partitions(ds, 3, 5, seed=31, workers=2)) == want
+
+
+def numpy_blas_is_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"].lower()
+
+
+def test_openblas_thread_setter_is_found():
+    # without it partitions are built serially, which no other test notices
+    if not numpy_blas_is_openblas():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert ioutil.openblas_threads() is not None
+
+
+def test_forked_parts_run_one_blas_thread_and_restore_the_count():
+    blas = ioutil.openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS thread count cannot be set")
+    get, put = blas
+    before = get()
+    try:
+        put(2)  # above one even on a single CPU
+        seen = ioutil.fork_map(lambda part: [(os.getpid(), get())], range(3), 3)
+        assert len({pid for pid, _ in seen}) == 3 and [n for _, n in seen] == [1] * 3
+        assert get() == 2
+        ds = synth_mixture(5, 20, 4, 3, noise=0.3, seed=30)
+        generate_partitions(ds, 3, 5, seed=31, workers=2)
+        assert get() == 2
+        with pytest.raises(InfeasibleError):  # the part built here fails
+            generate_partitions(ds, 2, seed=41, method="hyperplane", n_way=64,
+                                r_min=30, retry_cap=0, workers=2)
+        assert get() == 2
+        assert ioutil.fork_map(lambda part: [get()], range(3), 1) == [2]
+    finally:
+        put(before)
+
 
 def test_partitions_respect_split():
     ds = synth_mixture(4, 10, 3, 2, noise=0.2, seed=36)
