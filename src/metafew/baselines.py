@@ -69,7 +69,10 @@ def linear_fit(train_embs: np.ndarray, train_labels: np.ndarray, n_classes: int,
                l2: float = 1e-4, lr: float = 0.5, max_iter: int = 500,
                tol: float = 1e-5) -> LinearModel:
     """Multinomial logistic regression by full-batch gradient descent from a
-    zero init, run to gradient-norm tolerance or the iteration cap.
+    zero init: max_iter steps, fewer for a task whose gradient norm falls
+    below tol. At the CLI's l2=1e-4, lr=0.5 and max_iter=500, tol=1e-5 is out
+    of reach (the cap binds on every eval-sweep chunk): a linear report
+    measures 500 steps of early-stopped descent, not the optimum.
 
     A (B, n, d) stack with (B, n) labels fits B tasks in one pass. A task
     that reaches the tolerance leaves the stack, so each task's weights,

@@ -96,7 +96,7 @@ def task_chunks(tasks: list[Task]) -> list[list[Task]]:
     chunks: list[list[Task]] = []
     rows = 0
     for task in tasks:
-        size = task.train_x.shape[0] + task.query_x.shape[0]
+        size = task.n_way * (task.k_shot + task.q_queries)
         if (chunks and rows + size <= CHUNK_ROWS
                 and stack_key(task) == stack_key(chunks[-1][0])):
             chunks[-1].append(task)

@@ -157,9 +157,9 @@ def default_workers() -> int:
 
 @functools.cache
 def openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS numpy links, or
-    None. Looked up on first use: a handle to numpy's core extension also
-    finds the symbols of the libraries it links."""
+    """The (get, set) thread-count functions of numpy's OpenBLAS, found on first
+    use through numpy's core extension, or None. set leaves the thread pool
+    stopped (its idle threads spin ~0.1 s); the next threaded call starts it."""
     import ctypes
     core = (sys.modules.get("numpy._core._multiarray_umath")  # numpy >= 2
             or sys.modules["numpy.core._multiarray_umath"])
@@ -173,7 +173,8 @@ def openblas_threads():
         if get and put:
             get.restype, get.argtypes = ctypes.c_int, []
             put.restype, put.argtypes = None, [ctypes.c_int]
-            return get, put
+            stop = getattr(lib, "blas_thread_shutdown_", None) or (lambda: None)
+            return get, lambda count: (put(count), stop())
     return None
 
 

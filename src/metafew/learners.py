@@ -18,12 +18,13 @@ from .tasks import Task, stack_tasks
 LEARNER_IDS = ("maml", "protonet", "scratch", "knn", "linear", "mlp", "cluster-match")
 
 
-def _embeddings_for(ds: DataSet, task: Task) -> tuple[np.ndarray, np.ndarray]:
-    if task.input_repr == "embedding":
-        return task.train_x, task.query_x
-    if ds.embeddings is None:
+def _embedded(tasks: list[Task]) -> tuple[Task, np.ndarray, np.ndarray]:
+    """The stacked chunk and its train and query rows of the embeddings."""
+    stacked = stack_tasks(tasks)
+    embeddings = stacked.ds.embeddings
+    if embeddings is None:
         raise DataError("learner needs embeddings but the dataset has none")
-    return ds.embeddings[task.train_indices], ds.embeddings[task.query_indices]
+    return stacked, embeddings[stacked.train_indices], embeddings[stacked.query_indices]
 
 
 def make_learner(learner_id: str, ds: DataSet, *,
@@ -54,24 +55,21 @@ def make_learner(learner_id: str, ds: DataSet, *,
             stack_tasks(tasks), rngs, hidden=hidden, steps=adapt_steps, lr=inner_lr)
     if learner_id == "knn":
         def predict_knn(tasks, rngs):
-            stacked = stack_tasks(tasks)
-            tr, qu = _embeddings_for(ds, stacked)
+            stacked, tr, qu = _embedded(tasks)
             # default: majority vote over min(K, 5) neighbors
             k = min(stacked.k_shot, 5) if k_nn is None else k_nn
             return knn_classify(tr, stacked.train_labels_int(), qu, k)
         return predict_knn
     if learner_id == "linear":
         def predict_linear(tasks, rngs):
-            stacked = stack_tasks(tasks)
-            tr, qu = _embeddings_for(ds, stacked)
+            stacked, tr, qu = _embedded(tasks)
             model = linear_fit(tr, stacked.train_labels_int(), stacked.n_way,
                                l2=linear_l2, lr=linear_lr, max_iter=linear_max_iter)
             return linear_predict(model, qu)
         return predict_linear
     if learner_id == "mlp":
         def predict_mlp(tasks, rngs):
-            stacked = stack_tasks(tasks)
-            tr, qu = _embeddings_for(ds, stacked)
+            stacked, tr, qu = _embedded(tasks)
             model = mlp_dropout_fit(tr, stacked.train_labels_int(), stacked.n_way,
                                     rngs, dropout=mlp_dropout, lr=mlp_lr,
                                     steps=mlp_steps)

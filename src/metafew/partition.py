@@ -31,6 +31,8 @@ BLOCK_ELEMS = 1 << 16
 GEMM_ALIGN = 64
 # rows per block of the hyperplane distance pass, a multiple of GEMM_ALIGN
 SLICE_ROWS = 1024
+# rows per block when points are copied into columns, each block read from cache
+TRANSPOSE_ROWS = 256
 
 
 @dataclass
@@ -183,7 +185,7 @@ def kmeans(points: np.ndarray, k: int, scaling: np.ndarray | None = None,
     else:
         centroids = y[rng.choice(n, size=k, replace=False)]
     sq_y = (y * y).sum(axis=1)
-    columns = np.ascontiguousarray(y.T)
+    columns = _columns(y, np.arange(n))
     prev_assign = None
     prev_obj = np.inf
     trace = []
@@ -200,24 +202,34 @@ def kmeans(points: np.ndarray, k: int, scaling: np.ndarray | None = None,
             break
         centroids = _member_means(columns, assign, k)
         prev_assign, prev_obj = assign, obj
-    return Partition(assignment=assign, centroids=_member_means(points.T, assign, k),
+    # final centroids: means in the original coordinates, in the same buffer
+    centroids = _member_means(_columns(points, np.arange(n), columns), assign, k)
+    return Partition(assignment=assign, centroids=centroids,
                      scaling=scaling, provenance="kmeans", k=k, seed=seed_val,
                      objective=float(trace[-1]), objective_trace=np.array(trace))
 
 
+def _columns(points, rows, out=None):
+    """points[rows].T as a contiguous (d, len(rows)) array, written into out
+    when given, TRANSPOSE_ROWS rows at a time."""
+    out = np.empty((points.shape[1], len(rows))) if out is None else out
+    for lo in range(0, len(rows), TRANSPOSE_ROWS):
+        out[:, lo:lo + TRANSPOSE_ROWS] = points[rows[lo:lo + TRANSPOSE_ROWS]].T
+    return out
+
+
 def _member_means(columns, assign, k):
     """Mean of each of the k clusters of points given as their columns
-    (d, n), rows assigned -1 left out, with the bits of
-    points[members].mean(axis=0). With two or more columns numpy adds a
-    cluster's rows one at a time in index order from 0.0, as bincount does;
-    a single column it sums pairwise."""
+    (d, n), each in a cluster, with the bits of points[members].mean(axis=0).
+    With two or more columns numpy adds a cluster's rows one at a time in
+    index order from 0.0, as bincount does; a single column it sums
+    pairwise."""
     if len(columns) == 1:
         return np.array([[columns[0][m].mean()] for m in Partition(assign).clusters])
-    shifted = assign + 1  # bin 0 holds the discarded rows
     sums = np.empty((k, len(columns)))
     for j, col in enumerate(columns):
-        sums[:, j] = np.bincount(shifted, weights=col, minlength=k + 1)[1:]
-    return sums / np.bincount(shifted, minlength=k + 1)[1:, None]
+        sums[:, j] = np.bincount(assign, weights=col, minlength=k)
+    return sums / np.bincount(assign, minlength=k)[:, None]
 
 
 def _aligned(rows: int) -> int:
@@ -488,7 +500,7 @@ def partition_from_labels(ds: DataSet, split: str | None = None) -> Partition:
     part = _lift(Partition(assignment=ids, provenance="supervised", k=len(values)),
                  rows, ds.n)
     if ds.embeddings is not None:
-        part.centroids = _member_means(ds.embeddings.T, part.assignment, len(values))
+        part.centroids = _member_means(_columns(ds.embeddings, rows), ids, len(values))
     return part
 
 
@@ -570,7 +582,9 @@ def load_partition(path, points: np.ndarray | None = None) -> Partition:
     if not part.num_clusters:
         raise DataError(f"{path}: every point is discarded (cluster -1)")
     if points is not None:
-        part.centroids = _member_means(points.T, assignment, part.num_clusters)
+        kept = np.flatnonzero(assignment >= 0)
+        part.centroids = _member_means(_columns(points, kept), assignment[kept],
+                                       part.num_clusters)
     return part
 
 

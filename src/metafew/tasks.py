@@ -4,7 +4,8 @@ annotations, plus lazy task streams."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -25,83 +26,83 @@ HYPERPLANE_TASKS_PER_PARTITION = 100
 
 @dataclass
 class Task:
-    """One episode: K train and Q query pairs for each of N classes, with
-    labels given by a sampled permutation of one-hot vectors. Inputs are
-    copies; indices reference rows of the originating dataset."""
+    """One episode: K train and Q query rows of a dataset for each of N
+    classes, slot i labelled by one-hot column label_perm[i]. A task holds
+    only these indices; its inputs (rows of the block input_repr names) and
+    one-hot labels are computed on first use and kept."""
 
     n_way: int
     k_shot: int
     q_queries: int
-    train_x: np.ndarray
-    train_y: np.ndarray
-    query_x: np.ndarray
-    query_y: np.ndarray
     train_indices: np.ndarray
     query_indices: np.ndarray
     label_perm: np.ndarray          # slot -> one-hot column
     source_ids: np.ndarray          # cluster/class id per slot
+    ds: DataSet = field(repr=False)
     input_repr: str = "raw"
     split: str | None = None
     partition_index: int | None = None
     task_seed: int | None = None
 
+    def __post_init__(self):
+        if self.input_repr not in INPUT_REPRS:
+            raise ConfigError(f"unknown input_repr {self.input_repr!r}")
+        if self.input_repr == "embedding" and self.ds.embeddings is None:
+            raise DataError("input_repr=embedding but dataset has no embeddings")
+
+    @property
+    def block(self) -> np.ndarray:
+        return self.ds.raw if self.input_repr == "raw" else self.ds.embeddings
+
     @property
     def d_in(self) -> int:
-        return self.train_x.shape[-1]
+        return self.block.shape[1]
+
+    @cached_property
+    def train_x(self) -> np.ndarray:
+        return self.block[self.train_indices]
+
+    @cached_property
+    def query_x(self) -> np.ndarray:
+        return self.block[self.query_indices]
+
+    @cached_property
+    def train_y(self) -> np.ndarray:
+        return np.eye(self.n_way)[self.train_labels_int()]
+
+    @cached_property
+    def query_y(self) -> np.ndarray:
+        return np.eye(self.n_way)[self.query_labels_int()]
 
     def train_labels_int(self) -> np.ndarray:
-        return self.train_y.argmax(axis=-1)
+        return self.label_perm.repeat(self.k_shot, axis=-1)
 
     def query_labels_int(self) -> np.ndarray:
-        return self.query_y.argmax(axis=-1)
+        return self.label_perm.repeat(self.q_queries, axis=-1)
 
 
-_STACKED_FIELDS = ("train_x", "train_y", "query_x", "query_y", "train_indices",
-                   "query_indices", "label_perm", "source_ids")
+_STACKED_FIELDS = ("train_indices", "query_indices", "label_perm", "source_ids")
 
 
 def stack_key(task: Task) -> tuple:
-    """Tasks with equal keys stack: their array fields share shapes."""
-    return (task.train_x.shape, task.query_x.shape, task.train_y.shape,
-            task.input_repr)
+    """Tasks of one dataset with equal keys stack: their arrays share shapes."""
+    return (task.n_way, task.k_shot, task.q_queries, task.input_repr)
 
 
 def stack_tasks(tasks: list[Task]) -> Task:
-    """One Task whose array fields carry a leading task axis, (B, n, d)
-    inputs and (B, n, classes) labels, for learners that adapt B equally
-    shaped tasks in one pass. Per-task provenance fields are dropped."""
+    """One Task whose index, permutation and source arrays carry a leading
+    task axis, so that learners adapt B equally shaped tasks of one dataset
+    in one pass on (B, n, d) inputs, each gathered by one fancy index.
+    Per-task provenance fields are dropped."""
     keys = {stack_key(t) for t in tasks}
     if len(keys) > 1:
         raise ShapeError(f"tasks differ in shape: {sorted(keys)}")
     first = tasks[0]
+    if any(t.ds is not first.ds for t in tasks):
+        raise DataError("tasks index rows of different datasets")
     return Task(first.n_way, first.k_shot, first.q_queries,
                 *(np.stack([getattr(t, f) for t in tasks]) for f in _STACKED_FIELDS),
-                input_repr=first.input_repr)
-
-
-def _fetch_inputs(ds: DataSet, indices: np.ndarray, input_repr: str) -> np.ndarray:
-    if input_repr == "raw":
-        return ds.raw[indices].copy()
-    if input_repr == "embedding":
-        if ds.embeddings is None:
-            raise DataError("input_repr=embedding but dataset has no embeddings")
-        return ds.embeddings[indices].copy()
-    raise ConfigError(f"unknown input_repr {input_repr!r}")
-
-
-def _make_task(ds: DataSet, label_perm: np.ndarray, train_idx: np.ndarray,
-               query_idx: np.ndarray, k_shot: int, q_queries: int,
-               input_repr: str, **provenance) -> Task:
-    """The Task whose slot i holds one-hot column label_perm[i], with its
-    inputs fetched from the dataset's rows."""
-    eye = np.eye(len(label_perm))
-    return Task(n_way=len(label_perm), k_shot=k_shot, q_queries=q_queries,
-                train_x=_fetch_inputs(ds, train_idx, input_repr),
-                train_y=eye[label_perm.repeat(k_shot)],
-                query_x=_fetch_inputs(ds, query_idx, input_repr),
-                query_y=eye[label_perm.repeat(q_queries)],
-                train_indices=train_idx, query_indices=query_idx,
-                label_perm=label_perm, input_repr=input_repr, **provenance)
+                first.ds, first.input_repr)
 
 
 def _draw_shots(groups, k_shot: int, q_queries: int, rng: np.random.Generator):
@@ -139,8 +140,8 @@ def sample_task_from_partition(partition: Partition, n_way: int, k_shot: int,
     perm = rng.permutation(n_way)
     train_idx, query_idx = _draw_shots([partition.clusters[c] for c in chosen],
                                        k_shot, q_queries, rng)
-    return _make_task(ds, perm, train_idx, query_idx, k_shot, q_queries, input_repr,
-                      source_ids=np.asarray(chosen, dtype=np.int64), split=split)
+    return Task(n_way, k_shot, q_queries, train_idx, query_idx, perm,
+                np.asarray(chosen, dtype=np.int64), ds, input_repr, split)
 
 
 def sample_attribute_task(ds: DataSet, split: str, attr_indices, attr_values,
@@ -168,8 +169,8 @@ def sample_attribute_task(ds: DataSet, split: str, attr_indices, attr_values,
     perm = rng.permutation(2)
     train_idx, query_idx = _draw_shots((pos, neg), k_shot, q_queries, rng)
     pattern_id = int((attr_values << np.arange(3)).sum())
-    return _make_task(ds, perm, train_idx, query_idx, k_shot, q_queries, input_repr,
-                      source_ids=np.array([pattern_id, 7 - pattern_id]), split=split)
+    return Task(2, k_shot, q_queries, train_idx, query_idx, perm,
+                np.array([pattern_id, 7 - pattern_id]), ds, input_repr, split)
 
 
 def sample_eligible_attribute_task(ds: DataSet, split: str, k_shot: int,
@@ -268,51 +269,35 @@ def make_supervised_task_stream(cfg: TaskStreamConfig, ds: DataSet) -> Iterator[
 
 def validate_task(task: Task, ds: DataSet | None = None,
                   partition: Partition | None = None) -> None:
-    """Assert every Task invariant; used by tests on each emitted task."""
+    """Assert every Task invariant (given a dataset, that the task indexes
+    its rows); used by tests on each emitted task."""
     n, k, q = task.n_way, task.k_shot, task.q_queries
-    if task.train_x.shape[0] != n * k or task.train_y.shape != (n * k, n):
-        raise DataError(f"train set shapes {task.train_x.shape}/{task.train_y.shape} "
-                        f"inconsistent with N={n}, K={k}")
-    if task.query_x.shape[0] != n * q or task.query_y.shape != (n * q, n):
-        raise DataError(f"query set shapes {task.query_x.shape}/{task.query_y.shape} "
-                        f"inconsistent with N={n}, Q={q}")
-    for name, y in (("train", task.train_y), ("query", task.query_y)):
-        if not (np.isin(y, (0.0, 1.0)).all() and (y.sum(axis=1) == 1).all()):
-            raise DataError(f"{name} labels are not one-hot rows")
+    if task.train_indices.shape != (n * k,) or task.query_indices.shape != (n * q,):
+        raise DataError(f"{task.train_indices.shape} train and "
+                        f"{task.query_indices.shape} query indices inconsistent "
+                        f"with N={n}, K={k}, Q={q}")
     if sorted(task.label_perm.tolist()) != list(range(n)):
         raise DataError(f"label_perm {task.label_perm} is not a permutation of 0..{n - 1}")
-    slots_train = task.train_y.argmax(axis=1).reshape(n, k)
-    slots_query = task.query_y.argmax(axis=1).reshape(n, q)
-    expect = task.label_perm
-    if not (np.all(slots_train == expect[:, None]) and np.all(slots_query == expect[:, None])):
-        raise DataError("labels do not follow the sampled slot permutation")
+    if ds is not None and ds is not task.ds:
+        raise DataError("task indexes rows of another dataset")
     all_idx = np.concatenate([task.train_indices, task.query_indices])
-    if ds is not None and (all_idx.min() < 0 or all_idx.max() >= ds.n):
+    if all_idx.min() < 0 or all_idx.max() >= task.ds.n:
         raise DataError("task indices outside dataset")
-    _check_rows(all_idx, ds, task.split)
-    if ds is not None:
-        want_train = _fetch_inputs(ds, task.train_indices, task.input_repr)
-        want_query = _fetch_inputs(ds, task.query_indices, task.input_repr)
-        if not (np.array_equal(want_train, task.train_x)
-                and np.array_equal(want_query, task.query_x)):
-            raise DataError("task inputs do not match dataset rows")
+    _check_rows(all_idx, task.ds, task.split)
     if partition is not None and partition.hyperplanes:
         margin = partition.margin or 0.0
-        pts = ds.embeddings[all_idx] if ds is not None else None
-        if pts is None:
-            raise DataError("margin check requires the dataset")
+        pts = task.ds.embeddings[all_idx]
         for h in partition.hyperplanes:
             if np.any(np.abs(signed_distance(h, pts)) < margin):
                 raise DataError("task point violates the hyperplane margin")
 
 
-def _check_rows(rows: np.ndarray, ds: DataSet | None, split: str | None) -> None:
-    """A task's dataset rows must be distinct and, given the dataset, all
-    of the task's declared split (when it declares one)."""
+def _check_rows(rows: np.ndarray, ds: DataSet, split: str | None) -> None:
+    """A task's dataset rows must be distinct and all of the task's declared
+    split (when it declares one)."""
     if np.unique(rows).size != rows.size:
         raise DataError("duplicate datapoint index within task")
-    if (ds is not None and split is not None
-            and not np.all(ds.split[rows] == split_code(split))):
+    if split is not None and not np.all(ds.split[rows] == split_code(split)):
         raise DataError(f"task points leave the declared split {split!r}")
 
 
@@ -341,11 +326,11 @@ _MANIFEST_FIELDS = 12
 
 
 def read_task_manifest(path, ds: DataSet) -> list[Task]:
-    """Tasks of a manifest, with inputs fetched from the dataset's rows. A
-    line with a wrong field count, a non-integer field, an unknown
-    input_repr or split, a wrong number of indices or source ids, an index
-    outside the dataset, a row listed twice, a row outside the declared
-    split, or a label_perm that is not a permutation is a DataError."""
+    """Tasks of a manifest over the dataset's rows. A wrong field count, a
+    non-integer field, an unknown input_repr or split, a wrong number of
+    indices or source ids, an index outside the dataset, a row listed twice
+    or outside the declared split, a label_perm that is not a permutation, or
+    embedding inputs of a dataset without them is a DataError naming the line."""
     tasks = []
     for lineno, line in body_lines(read_text(path)):
         where = f"{path}:{lineno}"
@@ -378,16 +363,15 @@ def read_task_manifest(path, ds: DataSet) -> list[Task]:
             if bad.size:
                 raise DataError(f"{where}: {name} index {bad[0]} outside the "
                                 f"dataset's {ds.n} rows")
-        with naming(where):
-            _check_rows(np.concatenate([train_indices, query_indices]), ds, split or None)
         if source_ids.size != n:
             raise DataError(f"{where}: {source_ids.size} source ids for N={n}")
         if not np.array_equal(np.sort(label_perm), np.arange(n)):
             raise DataError(f"{where}: label_perm {perm!r} is not a permutation "
                             f"of 0..{n - 1}")
-        tasks.append(_make_task(ds, label_perm, train_indices, query_indices, k, q,
-                                repr_, source_ids=source_ids, split=split or None,
-                                partition_index=part_idx, task_seed=task_seed))
+        with naming(where):
+            _check_rows(np.concatenate([train_indices, query_indices]), ds, split or None)
+            tasks.append(Task(n, k, q, train_indices, query_indices, label_perm,
+                              source_ids, ds, repr_, split or None, part_idx, task_seed))
     if not tasks:
         raise DataError(f"{path}: no task lines")
     return tasks

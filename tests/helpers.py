@@ -7,10 +7,12 @@ builder, and the per-task episode assembly. These never call the code
 paths they check. Last come the test-only adapters: per-task learners in
 chunk form, label-derived episodes, and the CSV dataset fixture writer."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 
+from metafew.data import DataSet
 from metafew.ioutil import fmt_float, write_text
 from metafew.network import ModelParams
 from metafew.partition import partition_from_labels
@@ -240,7 +242,6 @@ def reference_task_from_partition(clusters, n_way, k_shot, q_queries, rng, ds,
     ok = np.flatnonzero(np.array([len(c) for c in clusters]) >= r)
     chosen = rng.choice(ok, size=n_way, replace=False)
     perm = rng.permutation(n_way)
-    eye = np.eye(n_way)
     train_idx, query_idx = [], []
     for c in chosen:
         picked = rng.choice(clusters[int(c)], size=r, replace=False)
@@ -248,13 +249,31 @@ def reference_task_from_partition(clusters, n_way, k_shot, q_queries, rng, ds,
         query_idx.append(picked[k_shot:])
     train_idx = np.concatenate(train_idx)
     query_idx = np.concatenate(query_idx)
-    block = ds.raw if input_repr == "raw" else ds.embeddings
     return Task(n_way=n_way, k_shot=k_shot, q_queries=q_queries,
-                train_x=block[train_idx].copy(), train_y=eye[perm.repeat(k_shot)],
-                query_x=block[query_idx].copy(), query_y=eye[perm.repeat(q_queries)],
                 train_indices=train_idx, query_indices=query_idx,
                 label_perm=perm, source_ids=np.asarray(chosen, dtype=np.int64),
-                input_repr=input_repr, split=split)
+                ds=ds, input_repr=input_repr, split=split)
+
+
+def task_from_arrays(train_x, query_x, perm, k_shot, q_queries):
+    """The Task with these train and query inputs and slot permutation, over
+    a dataset of its own holding the train rows, then the query rows."""
+    n_way = len(perm)
+    return Task(n_way=n_way, k_shot=k_shot, q_queries=q_queries,
+                train_indices=np.arange(n_way * k_shot),
+                query_indices=n_way * k_shot + np.arange(n_way * q_queries),
+                label_perm=perm, source_ids=np.arange(n_way),
+                ds=DataSet(np.concatenate([train_x, query_x])))
+
+
+def on_one_dataset(tasks):
+    """The same tasks over one dataset holding their datasets' rows in
+    turn, so that they stack."""
+    ds = DataSet(np.concatenate([t.ds.raw for t in tasks]))
+    offsets = np.cumsum([0] + [t.ds.n for t in tasks])
+    return [dataclasses.replace(t, ds=ds, train_indices=t.train_indices + offset,
+                                query_indices=t.query_indices + offset)
+            for t, offset in zip(tasks, offsets)]
 
 
 def per_task(predict_fn):

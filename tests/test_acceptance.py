@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from helpers import (brute_force_two_means, finite_difference_grad, per_task,
-                     relative_error, sample_supervised_task)
+                     relative_error, sample_supervised_task, task_from_arrays)
 from metafew.baselines import cluster_matching_classify, cluster_membership
 from metafew.cli import main
 from metafew.data import SplitSpec, split_dataset, synth_mixture
 from metafew.evaluation import evaluate, read_report_csv
+from metafew.ioutil import default_workers
 from metafew.learners import make_learner
 from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_model,
                                meta_train, protonet_classify,
@@ -28,7 +29,7 @@ from metafew.network import (apply_sgd, forward, grad_through_adaptation,
                              init_mlp, xent_loss_grad)
 from metafew.partition import (_lift, generate_partitions, kmeans,
                                partition_from_labels, random_partition)
-from metafew.tasks import (Task, TaskStreamConfig, make_supervised_task_stream,
+from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
                            make_task_stream, validate_task)
 
 
@@ -46,16 +47,9 @@ def criterion(number: int, label: str):
 # -- criterion 1: gradient correctness ------------------------------------------
 
 def random_task_for(rng, d_in, n_way, k, q):
-    eye = np.eye(n_way)
     perm = rng.permutation(n_way)
-    return Task(n_way=n_way, k_shot=k, q_queries=q,
-                train_x=rng.standard_normal((n_way * k, d_in)),
-                train_y=eye[perm.repeat(k)],
-                query_x=rng.standard_normal((n_way * q, d_in)),
-                query_y=eye[perm.repeat(q)],
-                train_indices=np.arange(n_way * k),
-                query_indices=np.arange(n_way * q),
-                label_perm=perm, source_ids=np.arange(n_way))
+    return task_from_arrays(rng.standard_normal((n_way * k, d_in)),
+                            rng.standard_normal((n_way * q, d_in)), perm, k, q)
 
 
 def test_criterion_1_gradient_correctness():
@@ -219,18 +213,19 @@ def ordering_experiment():
 
     tasks1 = tasks_at(1)
     cluster_maml_predict = make_learner("maml", ds, params=cluster_maml)
+    workers = default_workers()  # the maml reports' bits do not depend on it
     reports = {
         "cluster-maml": evaluate(cluster_maml_predict, tasks1,
-                                 learner_id="cluster-maml"),
+                                 learner_id="cluster-maml", workers=workers),
         "random-maml": evaluate(make_learner("maml", ds, params=random_maml),
-                                tasks1, learner_id="random-maml"),
+                                tasks1, learner_id="random-maml", workers=workers),
         "cluster-protonet": evaluate(make_learner("protonet", ds, params=cluster_proto),
                                      tasks1, learner_id="cluster-protonet"),
     }
     sweep = {1: reports["cluster-maml"]}
     for k_shot in (5, 20, 50):
         sweep[k_shot] = evaluate(cluster_maml_predict, tasks_at(k_shot),
-                                 learner_id=f"cluster-maml@{k_shot}")
+                                 learner_id=f"cluster-maml@{k_shot}", workers=workers)
     return {"reports": reports, "sweep": sweep, "train_seconds": time.time() - start}
 
 

@@ -204,8 +204,7 @@ def test_query_in_unlabeled_cluster_falls_through_to_nearest_labeled():
     task = toy_task(np.random.default_rng(22), n_way=2, k=1, q=1, d=1)
     task.train_indices = np.array([0, 4])   # clusters 0 and 2
     task.query_indices = np.array([2, 6])   # cluster 1, and the unassigned row
-    task.train_y = np.eye(2)
-    task.query_y = np.eye(2)
+    task.label_perm = np.arange(2)        # shot labels 0, 1
     pred = cluster_matching_classify(part, membership, task)
     assert pred[0] == 0  # unlabeled cluster 1 -> nearest labeled centroid 0
     assert pred[1] == 1  # unassigned row -> nearest centroid 2 -> label 1

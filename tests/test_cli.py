@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from metafew.cli import main
-from metafew.data import load_dataset, save_dataset
+from metafew.data import DataSet, load_dataset, save_dataset
 from metafew.errors import ConfigError
 from metafew.evaluation import read_report_csv
 from metafew.ioutil import default_workers, stable_rng
@@ -751,6 +751,24 @@ def test_evaluate_manifest_with_unknown_input_repr_is_exit_3(tmp_path, dataset,
                                               tasks_manifest=manifest,
                                               split="meta-train"))
     assert "input_repr 'bogus'" in err
+
+def test_evaluate_embedding_manifest_on_a_dataset_without_embeddings_names_the_line(
+        tmp_path, dataset, capsys):
+    manifest = tmp_path / "tasks.txt"
+    assert main(["gen-tasks", f"data={dataset}", "source=labels", f"out={manifest}",
+                 "tasks=2", "n_way=3", "k_shot=1", "q_queries=2",
+                 "input_repr=embedding", "seed=19"]) == 0
+    ds = load_dataset(dataset)
+    raw_only = tmp_path / "raw.emb1"
+    save_dataset(DataSet(ds.raw, labels=ds.labels, split=ds.split), raw_only)
+    first = next(i for i, l in enumerate(manifest.read_text().splitlines())
+                 if not l.startswith("#"))
+    err = assert_data_error(capsys, eval_args(raw_only, tmp_path / "knn.csv", "knn",
+                                              tasks_manifest=manifest,
+                                              split="meta-train",
+                                              input_repr="embedding"))
+    assert (f"{manifest}:{first + 1}: input_repr=embedding but dataset has no "
+            f"embeddings") in err
 
 @pytest.mark.parametrize("learner", ["maml", "protonet"])
 def test_logged_meta_val_accuracy_equals_per_task_predictions(tmp_path, learner):

@@ -1,4 +1,6 @@
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from metafew.errors import ConfigError
 from metafew.evaluation import (EvalReport, ci95_half_width, compare, evaluate,
                                 format_comparison, read_report_csv,
                                 task_set_fingerprint, write_report_csv)
+from metafew.learners import make_learner
 from metafew.tasks import TaskStreamConfig, make_supervised_task_stream
 
 
@@ -34,6 +37,33 @@ def test_perfect_learner_mean_one_ci_zero(tasks):
     assert report.mean == 1.0
     assert report.ci95 == 0.0
     assert report.task_count == len(tasks)
+
+def test_task_set_memory_is_its_indices():
+    # 256 raw columns: a task holding copies of its 30 rows' inputs would
+    # keep 60 KiB, against under 1 KiB for its indices
+    ds = synth_mixture(8, 30, 256, 8, noise=0.3, seed=150)
+
+    def peak(count):
+        cfg = TaskStreamConfig(tasks=count, n_way=5, k_shot=1, q_queries=5, seed=151)
+        tracemalloc.start()
+        try:
+            tasks = list(make_supervised_task_stream(cfg, ds))
+            evaluate(make_learner("knn", ds), tasks, workers=1)
+            return tracemalloc.get_traced_memory()[1], tasks
+        finally:
+            tracemalloc.stop()
+
+    def index_storage(task):
+        """The Task with its attribute dict and its four index arrays, plus
+        an allowance for its list slot and the accuracy evaluate keeps."""
+        arrays = (task.train_indices, task.query_indices, task.label_perm,
+                  task.source_ids)
+        return (sys.getsizeof(task) + sys.getsizeof(task.__dict__)
+                + sum(sys.getsizeof(a) for a in arrays) + 256)
+
+    few, _ = peak(50)
+    many, tasks = peak(200)
+    assert many - few < sum(index_storage(t) for t in tasks[50:])
 
 def test_two_task_ci_example():
     report = EvalReport(np.array([0.0, 1.0]))

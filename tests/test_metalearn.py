@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import (finite_difference_grad, model_from_layers, params_mean,
-                     relative_error)
+from helpers import (finite_difference_grad, model_from_layers, on_one_dataset,
+                     params_mean, relative_error, task_from_arrays)
 from metafew.data import synth_mixture
 from metafew.errors import ShapeError
 from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_model,
@@ -12,24 +12,18 @@ from metafew.metalearn import (MetaConfig, build_maml_model, build_protonet_mode
 from metafew.network import (Layer, apply_adam, forward, grad_through_adaptation,
                              init_adam, xent_loss_grad)
 from metafew.partition import generate_partitions
-from metafew.tasks import (Task, TaskStreamConfig, make_supervised_task_stream,
+from metafew.tasks import (TaskStreamConfig, make_supervised_task_stream,
                            make_task_stream, stack_tasks)
 
 
 def toy_task(rng, n_way=2, k=3, q=4, d=3, separation=3.0):
     centers = rng.standard_normal((n_way, d)) * separation
     perm = rng.permutation(n_way)
-    eye = np.eye(n_way)
     tx = np.concatenate([centers[i] + 0.1 * rng.standard_normal((k, d))
                          for i in range(n_way)])
     qx = np.concatenate([centers[i] + 0.1 * rng.standard_normal((q, d))
                          for i in range(n_way)])
-    return Task(n_way=n_way, k_shot=k, q_queries=q,
-                train_x=tx, train_y=eye[perm.repeat(k)],
-                query_x=qx, query_y=eye[perm.repeat(q)],
-                train_indices=np.arange(n_way * k),
-                query_indices=np.arange(n_way * q) + n_way * k,
-                label_perm=perm, source_ids=np.arange(n_way))
+    return task_from_arrays(tx, qx, perm, k, q)
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +172,8 @@ def test_head_pruning_for_narrow_tasks():
 @pytest.mark.parametrize("B", [1, 3, 8])
 def test_stacked_maml_adapt_and_predict_equal_per_task_calls(B):
     rng = np.random.default_rng(125)
-    tasks = [toy_task(rng, n_way=3, k=2, q=4, separation=1.0) for _ in range(B)]
+    tasks = on_one_dataset([toy_task(rng, n_way=3, k=2, q=4, separation=1.0)
+                            for _ in range(B)])
     wide = build_maml_model(3, 5, np.random.default_rng(126), hidden=(8, 6))
     stacked = stack_tasks(tasks)
     adapted = maml_adapt(prune_head(wide, 3), stacked, inner_lr=0.3, steps=7)
@@ -281,7 +276,8 @@ def test_protonet_gradient_matches_finite_differences(seed):
 @pytest.mark.parametrize("B", [1, 3, 8])
 def test_stacked_protonet_equals_per_task_calls(B, k, q):
     rng = np.random.default_rng(140)
-    tasks = [toy_task(rng, n_way=5, k=k, q=q, d=3, separation=1.0) for _ in range(B)]
+    tasks = on_one_dataset([toy_task(rng, n_way=5, k=k, q=q, d=3, separation=1.0)
+                            for _ in range(B)])
     net = build_protonet_model(3, np.random.default_rng(141), hidden=(8, 6))
     stacked = stack_tasks(tasks)
     losses, grads = protonet_loss_grad(net, stacked)

@@ -317,6 +317,26 @@ def test_forked_parts_run_one_blas_thread_and_restore_the_count():
         put(before)
 
 
+def test_forked_parts_leave_no_blas_thread_behind():
+    # setting the count after a fork starts OpenBLAS's pool, whose idle
+    # threads would spin about 0.1 s on a CPU the caller's next work needs
+    blas = ioutil.openblas_threads()
+    if blas is None or not os.path.isdir("/proc/self/task"):
+        pytest.skip("numpy's BLAS thread count cannot be set, or no /proc")
+    get, put = blas
+    before = get()
+    try:
+        np.ones((512, 512)) @ np.ones((512, 512))
+        put(2)
+        idle = sorted(os.listdir("/proc/self/task"))
+        assert ioutil.fork_map(lambda part: [get()], range(2), 2) == [1, 1]
+        assert get() == 2 and sorted(os.listdir("/proc/self/task")) == idle
+        np.ones((512, 512)) @ np.ones((512, 512))  # the next threaded call
+        assert get() == 2
+    finally:
+        put(before)
+
+
 def test_partitions_respect_split():
     ds = synth_mixture(4, 10, 3, 2, noise=0.2, seed=36)
     tags = ds.split.copy()
@@ -523,31 +543,34 @@ def assert_clusters_and_centroids(part, clusters, centroids=None):
         assert part.centroids.tobytes() == centroids.tobytes()
 
 def test_every_builder_has_the_hand_built_clusters_and_centroids(tmp_path):
-    ds = synth_mixture(6, 40, 5, 4, noise=0.3, seed=80)
-    rows = np.flatnonzero(np.arange(ds.n) % 3 > 0)
-    pts = ds.embeddings[rows]
-    km = kmeans(pts, 7, scaling=np.random.default_rng(81).uniform(0.2, 1, 4), seed=82)
-    assert_clusters_and_centroids(km, reference_clusters(km.assignment),
-                                  reference_centroids(pts, reference_clusters(km.assignment)))
-    for seed in range(5):
-        hp = hyperplane_partition(pts, 4, margin=0.05, r_min=3, seed=seed,
-                                  pool=pool(pts, seed))
+    # 240 and 600 rows: the latter crosses TRANSPOSE_ROWS-row block boundaries
+    for per_class in (40, 100):
+        ds = synth_mixture(6, per_class, 5, 4, noise=0.3, seed=80)
+        rows = np.flatnonzero(np.arange(ds.n) % 3 > 0)
+        pts = ds.embeddings[rows]
+        km = kmeans(pts, 7, scaling=np.random.default_rng(81).uniform(0.2, 1, 4), seed=82)
+        clusters = reference_clusters(km.assignment)
+        assert_clusters_and_centroids(km, clusters, reference_centroids(pts, clusters))
+        for seed in range(5):
+            hp = hyperplane_partition(pts, 4, margin=0.05, r_min=3, seed=seed,
+                                      pool=pool(pts, seed))
+            assert_clusters_and_centroids(
+                hp, reference_hyperplane_partition(pts, hp.hyperplanes, 0.05, 3)[1])
+        rnd = random_partition(rows.size, 9, np.random.default_rng(83))
+        lifted = _lift(rnd, rows, ds.n)
         assert_clusters_and_centroids(
-            hp, reference_hyperplane_partition(pts, hp.hyperplanes, 0.05, 3)[1])
-    rnd = random_partition(rows.size, 9, np.random.default_rng(83))
-    lifted = _lift(rnd, rows, ds.n)
-    assert_clusters_and_centroids(
-        lifted, reference_lifted_clusters(reference_clusters(rnd.assignment), rows))
-    for split in (None, "meta-train"):
-        label_rows = np.arange(ds.n) if split is None else ds.split_indices(split)
-        want = reference_label_clusters(ds.labels, label_rows)
-        assert_clusters_and_centroids(partition_from_labels(ds, split), want,
-                                      reference_centroids(ds.embeddings, want))
-    for part in (_lift(km, rows, ds.n), lifted):
-        save_partition(part, tmp_path / "p.part")
-        loaded = load_partition(tmp_path / "p.part", points=ds.embeddings)
-        want = reference_clusters(part.assignment)
-        assert_clusters_and_centroids(loaded, want, reference_centroids(ds.embeddings, want))
+            lifted, reference_lifted_clusters(reference_clusters(rnd.assignment), rows))
+        for split in (None, "meta-train"):
+            label_rows = np.arange(ds.n) if split is None else ds.split_indices(split)
+            want = reference_label_clusters(ds.labels, label_rows)
+            assert_clusters_and_centroids(partition_from_labels(ds, split), want,
+                                          reference_centroids(ds.embeddings, want))
+        for part in (_lift(km, rows, ds.n), lifted):
+            save_partition(part, tmp_path / "p.part")
+            loaded = load_partition(tmp_path / "p.part", points=ds.embeddings)
+            want = reference_clusters(part.assignment)
+            assert_clusters_and_centroids(loaded, want,
+                                          reference_centroids(ds.embeddings, want))
 
 def test_lift_leaves_its_input_unchanged():
     part = random_partition(30, 4, np.random.default_rng(84))

@@ -26,12 +26,11 @@ def _partition(assignment, **fields):
 
 
 def _task(perm, source, train, query, **fields):
-    n = len(perm)
-    return Task(n_way=n, k_shot=1, q_queries=1, train_x=np.zeros((n, 2)),
-                train_y=np.eye(n)[perm], query_x=np.zeros((n, 2)),
-                query_y=np.eye(n)[perm], train_indices=np.array(train),
+    rows = np.zeros((max(train + query) + 1, 2))
+    ds = DataSet(rows, embeddings=rows)
+    return Task(n_way=len(perm), k_shot=1, q_queries=1, train_indices=np.array(train),
                 query_indices=np.array(query), label_perm=np.array(perm),
-                source_ids=np.array(source), **fields)
+                source_ids=np.array(source), ds=ds, **fields)
 
 
 def writer_outputs(tmp_path, monkeypatch) -> dict[str, bytes]:
